@@ -4,8 +4,8 @@ compilation, with exact query accounting throughout."""
 
 from .cnf import CnfFormula, clause_is_false, parse_dimacs, restrict_cnf
 from .compiler import (CircuitIR, build_add, build_sub, build_uk,
-                       compile_phase_oracle, gate_count, oracle_from_circuit,
-                       oracle_from_formula, simulate_oracle_circuit)
+                       compile_phase_oracle, gate_count, oracle_from_formula,
+                       simulate_oracle_circuit)
 from .distributed import (CandidateSet, DistOutcome, build_candidate_set,
                           candidate_window, decompose, run_parallel,
                           run_serial, sweep_candidates, threshold_t_a,
@@ -15,10 +15,10 @@ from .errors import (CapacityError, DistGroverError, InvariantError,
 from .estimation import (CountEstimate, build_q_operator, relaxed_error_bound,
                          count_error_bound, counting_grid_for,
                          est_amp_distribution, run_count, run_est_amp)
-from .grover import (GroverOutcome, GroverPlan, apply_grover_iterate,
-                     grover_iterations, run_grover, success_probability)
+from .grover import (GroverOutcome, apply_grover_iterate, grover_iterations,
+                     run_grover, success_probability)
 from .ledger import QueryLedger
-from .oracle import BooleanFunction, apply_phase_oracle, apply_zero_reflection
+from .oracle import BooleanFunction, apply_zero_reflection
 from .statevector import (MeasurementDistribution, StateVector,
                           apply_controlled_powers, apply_diagonal_phase,
                           apply_hadamard_all, init_basis,

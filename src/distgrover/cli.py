@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import cnf as cnfmod
 from . import compiler, distributed, estimation, grover
-from .errors import DistGroverError, UsageError
+from .errors import DistGroverError, ParseError, UsageError
 from .ledger import QueryLedger
 from .oracle import BooleanFunction
 
@@ -36,13 +36,23 @@ def _input_descriptor(path: Path, text: str) -> dict:
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def _load_function(args) -> tuple[BooleanFunction, dict,
-                                  cnfmod.CnfFormula | None]:
+def _read_input(args) -> tuple[Path, str]:
+    """The input file's text, decoded from its bytes as they are, so the
+    report's sha256 is the digest of the file itself."""
     path = Path(args.input)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    try:
+        return path, data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _load_function(args) -> tuple[BooleanFunction, dict,
+                                  cnfmod.CnfFormula | None]:
+    path, text = _read_input(args)
     fmt = args.format
     if fmt == "auto":
         fmt = "dimacs" if path.suffix in (".cnf", ".dimacs") else "table"
@@ -57,7 +67,8 @@ def _load_function(args) -> tuple[BooleanFunction, dict,
         else:
             f = BooleanFunction.from_cnf(formula, label=str(path))
         return f, _input_descriptor(path, text), formula
-    return BooleanFunction.from_file(path), _input_descriptor(path, text), None
+    return (BooleanFunction.from_table_text(text, label=str(path)),
+            _input_descriptor(path, text), None)
 
 
 def _base_report(command: str, descriptor: dict, params: dict) -> dict:
@@ -158,10 +169,6 @@ def cmd_dist(args, mode: str) -> dict:
         "statement_form": distributed.statement_form_bound(n, args.k),
         "single_machine_grover": grover.grover_iterations(n, args.a),
     }
-    report["ground_truth"] = {       # harness data, not algorithm output
-        "stopped_machines_with_solutions":
-            list(outcome.stopped_machines_with_solutions),
-    }
     report["ledger"] = {"quantum_queries": outcome.total_quantum,
                         "classical_queries": outcome.total_classical,
                         "total": outcome.serial_total}
@@ -170,11 +177,7 @@ def cmd_dist(args, mode: str) -> dict:
 
 
 def cmd_compile(args) -> dict:
-    path = Path(args.input)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
+    path, text = _read_input(args)
     formula = cnfmod.parse_dimacs(text)
     started = time.perf_counter()
     circuit = compiler.compile_phase_oracle(formula)

@@ -13,6 +13,13 @@ with one positive control per literal, and the mirror X gates. ADD is the
 cyclic increment modulo m+1 on counter values 0..m, extended as the identity
 on values above m: the minimal unitary completion, never reached from |0>
 since at most m clauses can fail.
+
+Every gate maps basis states to basis states and the counter always comes
+back to |0..0>, so the whole circuit acts on the input register as one +-1
+diagonal. `circuit_diagonal` computes it once for all 2^n inputs, checking
+that restoration on every input; a compiled oracle is then a BooleanFunction
+whose truth table is that diagonal. `counter_trace` steps a single input and
+is the independent reference the diagonal is tested against.
 """
 
 from __future__ import annotations
@@ -24,9 +31,8 @@ import numpy as np
 
 from . import cnf as cnfmod
 from .errors import InvariantError, NotCompilableError, UsageError
-from .ledger import QueryLedger
 from .oracle import BooleanFunction, _as_index
-from .statevector import StateVector, check_capacity
+from .statevector import check_capacity
 
 # Elementary-gate accounting for gate_count(elementary=True). Constants model
 # the standard ancilla-assisted constructions: a modular incrementer on M
@@ -148,35 +154,12 @@ def compile_phase_oracle(formula: cnfmod.CnfFormula) -> CircuitIR:
                      gates=tuple(gates))
 
 
-def simulate_oracle_circuit(circuit: CircuitIR,
-                            input_basis) -> tuple[int, int]:
-    """Basis-state propagation of the circuit on |y>|0>_C.
-
-    Returns (phase in {+1, -1}, counter restored to zero). Every gate maps
-    basis states to basis states, so this is exact integer arithmetic.
-    """
-    n = circuit.input_qubits
-    y = _as_index(input_basis, n)
-    bits = [(y >> (n - 1 - j)) & 1 for j in range(n)]
-    counter = 0
-    phase = 1
-    for gate in circuit.gates:
-        if isinstance(gate, PauliX):
-            bits[gate.qubit] ^= 1
-        elif isinstance(gate, MultiControlledAdd):
-            if all(bits[q] == int(pol) for q, pol in gate.controls):
-                if counter < gate.modulus:
-                    counter = (counter + (-1 if gate.subtract else 1)) \
-                        % gate.modulus
-        else:
-            if counter == 0:
-                phase = -phase
-    return phase, int(counter == 0)
-
-
 def counter_trace(circuit: CircuitIR, input_basis) -> list[int]:
-    """Counter value after each non-X gate; test hook for the unwind and
-    no-wrap properties."""
+    """Counter value after each non-X gate on the basis input |y>|0>_C.
+
+    The scalar reference stepper: every gate maps basis states to basis
+    states, so this is exact integer arithmetic on one input at a time.
+    """
     n = circuit.input_qubits
     y = _as_index(input_basis, n)
     bits = [(y >> (n - 1 - j)) & 1 for j in range(n)]
@@ -195,94 +178,68 @@ def counter_trace(circuit: CircuitIR, input_basis) -> list[int]:
     return trace
 
 
-def apply_circuit(circuit: CircuitIR, amps: np.ndarray, total_qubits: int,
-                  register_start: int) -> np.ndarray:
-    """Execute the circuit on a full state vector, counter appended as the
-    least significant qubits. Input amplitudes cover `total_qubits`; the
-    result has the counter projected back out after verifying it returned
-    to |0..0> exactly."""
-    n = circuit.input_qubits
-    width = circuit.counter_qubits
-    big_q = total_qubits + width
-    check_capacity(big_q)
-    dim = 1 << big_q
-    counter_mask = (1 << width) - 1
-
-    ext = np.zeros(dim, dtype=np.complex128)
-    ext.reshape(-1, 1 << width)[:, 0] = amps
-    idx = np.arange(dim)
-    cval = idx & counter_mask
-
-    def input_shift(qubit: int) -> int:
-        return big_q - 1 - (register_start + qubit)
-
-    for gate in circuit.gates:
-        if isinstance(gate, PauliX):
-            ext = ext[idx ^ (1 << input_shift(gate.qubit))]
-        elif isinstance(gate, MultiControlledAdd):
-            ok = np.ones(dim, dtype=bool)
-            for q, pol in gate.controls:
-                bit = (idx >> input_shift(q)) & 1
-                ok &= bit == int(pol)
-            ok &= cval < gate.modulus
-            delta = 1 if gate.subtract else -1   # source counter offset
-            src_counter = (cval + delta) % gate.modulus
-            src = np.where(ok, (idx & ~counter_mask) | src_counter, idx)
-            ext = ext[src]
-        else:
-            ext = ext.copy()
-            ext[cval == 0] *= -1.0
-    final = ext.reshape(-1, 1 << width)
-    leak = float(np.abs(final[:, 1:]).max(initial=0.0))
-    if leak > 1e-12:
-        raise InvariantError(
-            f"counter register not restored (residual {leak:.3e})")
-    return final[:, 0].copy()
+def simulate_oracle_circuit(circuit: CircuitIR,
+                            input_basis) -> tuple[int, int]:
+    """(phase in {+1, -1}, 1 if the counter is restored to zero) on |y>|0>_C,
+    read off the counter trace: Z0C flips the phase where the counter is 0.
+    """
+    blocks = [g for g in circuit.gates if not isinstance(g, PauliX)]
+    trace = counter_trace(circuit, input_basis)
+    flips = sum(1 for gate, counter in zip(blocks, trace)
+                if isinstance(gate, ZeroPhaseOnCounter) and counter == 0)
+    return (-1) ** flips, int(not trace or trace[-1] == 0)
 
 
 def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
-    """The +-1 diagonal the circuit realizes on the input register."""
-    diag = apply_circuit(circuit, np.ones(1 << circuit.input_qubits,
-                                          dtype=np.complex128),
-                         circuit.input_qubits, 0)
-    return diag.real
+    """The +-1 diagonal the circuit realizes on the input register.
+
+    All 2^n basis inputs go through the gate list at once, with no counter
+    qubits in any state: X gates flip a bit of every input index, CADD/CSUB
+    step a per-input counter modulo m+1 where every control holds, and Z0C
+    toggles the phase where the counter is 0. Raises InvariantError unless
+    every input ends with its bits restored and its counter back at 0, the
+    condition under which the circuit acts on |y>|0>_C as (+-1)|y>|0>_C.
+    """
+    n = circuit.input_qubits
+    check_capacity(n)
+    top = max((g.modulus for g in circuit.gates
+               if isinstance(g, MultiControlledAdd)), default=1)
+    index = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    counter = np.zeros(1 << n, dtype=np.min_scalar_type(2 * top))
+    flipped = np.zeros(1 << n, dtype=bool)
+    for gate in circuit.gates:
+        if isinstance(gate, PauliX):
+            index ^= 1 << (n - 1 - gate.qubit)
+        elif isinstance(gate, MultiControlledAdd):
+            fires = counter < gate.modulus
+            for q, pol in gate.controls:
+                fires &= ((index >> (n - 1 - q)) & 1) == int(pol)
+            step = gate.modulus - 1 if gate.subtract else 1
+            counter = np.where(fires, (counter + step) % gate.modulus,
+                               counter)
+        else:
+            flipped ^= counter == 0
+    broken = np.flatnonzero((index != np.arange(1 << n)) | (counter != 0))
+    if broken.size:
+        y = int(broken[0])
+        raise InvariantError(
+            f"circuit does not restore input {y}: it ends at index "
+            f"{int(index[y])} with counter {int(counter[y])}")
+    return np.where(flipped, -1.0, 1.0)
 
 
-class _CircuitBackend:
-    kind = "compiled-circuit"
-
-    def __init__(self, circuit: CircuitIR, formula: cnfmod.CnfFormula):
-        self.circuit = circuit
-        self.formula = formula
-
-    def truth_values(self) -> np.ndarray:
-        return (circuit_diagonal(self.circuit) < 0).astype(np.uint8)
-
-    def apply_phase(self, state: StateVector, register: range) -> None:
-        state.amps = apply_circuit(self.circuit, state.amps,
-                                   state.qubit_count, register.start)
-
-    def restrict(self, bits: str, label: str) -> BooleanFunction:
-        restricted = cnfmod.restrict_cnf(self.formula, bits)
-        sub_arity = self.formula.variable_count - len(bits)
-        if restricted.constant_false:
-            return BooleanFunction.constant(sub_arity, 0, label)
-        if restricted.is_constant_true:
-            return BooleanFunction.constant(sub_arity, 1, label)
-        return oracle_from_formula(restricted, label)
-
-
-def oracle_from_circuit(circuit: CircuitIR, formula: cnfmod.CnfFormula,
-                        label: str = "compiled") -> BooleanFunction:
-    """BooleanFunction whose phase oracle runs the compiled circuit with a
-    live counter register (superposition inputs included)."""
-    return BooleanFunction(circuit.input_qubits,
-                           _CircuitBackend(circuit, formula), label)
+def _compiled_truth_values(formula: cnfmod.CnfFormula) -> np.ndarray:
+    return (circuit_diagonal(compile_phase_oracle(formula)) < 0) \
+        .astype(np.uint8)
 
 
 def oracle_from_formula(formula: cnfmod.CnfFormula,
                         label: str = "compiled") -> BooleanFunction:
-    return oracle_from_circuit(compile_phase_oracle(formula), formula, label)
+    """BooleanFunction whose truth table is the diagonal of the formula's
+    compiled circuit, propagated once on first use. Its restrictions are
+    compiled from the restricted formula the same way."""
+    return BooleanFunction(formula.variable_count, _compiled_truth_values,
+                           label, formula)
 
 
 def gate_count(circuit: CircuitIR, elementary: bool = False) -> int:

@@ -63,9 +63,6 @@ class DistOutcome:
     total_classical: int
     parallel_depth: int
     serial_total: int
-    # harness-only ground-truth field: machines that stopped after an empty
-    # candidate set although their block does contain solutions
-    stopped_machines_with_solutions: tuple[int, ...] = ()
 
     def solution_bits(self, n: int) -> str | None:
         return None if self.solution is None else format(self.solution,
@@ -139,16 +136,14 @@ def sweep_candidates(f_i: BooleanFunction, candidates, seed: int,
 
 
 def _finalize(status: str, solution: int | None, winner: int | None,
-              machines: list[MachineRecord],
-              stopped_with_solutions: list[int]) -> DistOutcome:
+              machines: list[MachineRecord]) -> DistOutcome:
     totals_q = sum(m.ledger.quantum_queries for m in machines)
     totals_c = sum(m.ledger.classical_queries for m in machines)
     depth = max((m.total_queries for m in machines), default=0)
     return DistOutcome(
         status=status, solution=solution, found_by_machine=winner,
         machines=machines, total_quantum=totals_q, total_classical=totals_c,
-        parallel_depth=depth, serial_total=totals_q + totals_c,
-        stopped_machines_with_solutions=tuple(stopped_with_solutions))
+        parallel_depth=depth, serial_total=totals_q + totals_c)
 
 
 def run_serial(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
@@ -159,7 +154,6 @@ def run_serial(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
         raise UsageError("a must be >= 1")
     subfunctions = decompose(f, k)
     machines: list[MachineRecord] = []
-    stopped: list[int] = []
 
     for i, f_i in enumerate(subfunctions):
         record = MachineRecord(index=i, candidate_set=None)
@@ -169,17 +163,15 @@ def run_serial(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
                                  record.ledger, machine_index=i)
         record.candidate_set = cs
         if not cs.candidates:
-            if f_i.solution_count() > 0:
-                stopped.append(i)
             continue
         outcome = sweep_candidates(f_i, cs.candidates, derive(machine_seed, 1),
                                    record.ledger, record)
         if outcome is not None:
             solution = (outcome.measured_x << k) | i
-            return _finalize("found", solution, i, machines, stopped)
+            return _finalize("found", solution, i, machines)
         # first swept machine exhausted its window: no fallback to later ones
-        return _finalize("not_found", None, None, machines, stopped)
-    return _finalize("not_found", None, None, machines, stopped)
+        return _finalize("not_found", None, None, machines)
+    return _finalize("not_found", None, None, machines)
 
 
 def run_parallel(f: BooleanFunction, k: int, a: int, seed: int,
@@ -196,7 +188,6 @@ def run_parallel(f: BooleanFunction, k: int, a: int, seed: int,
     subfunctions = decompose(f, k)
     machines = [MachineRecord(index=i, candidate_set=None)
                 for i in range(1 << k)]
-    stopped: list[int] = []
 
     if fast_a1:
         winner = None
@@ -211,8 +202,8 @@ def run_parallel(f: BooleanFunction, k: int, a: int, seed: int,
                 winner = i
                 solution = (outcome.measured_x << k) | i
         if winner is not None:
-            return _finalize("found", solution, winner, machines, stopped)
-        return _finalize("not_found", None, None, machines, stopped)
+            return _finalize("found", solution, winner, machines)
+        return _finalize("not_found", None, None, machines)
 
     sweeps: dict[int, tuple[BooleanFunction, list[int], int]] = {}
     for i, f_i in enumerate(subfunctions):
@@ -223,8 +214,6 @@ def run_parallel(f: BooleanFunction, k: int, a: int, seed: int,
         if cs.candidates:
             sweeps[i] = (f_i, sorted(cs.candidates, reverse=True),
                          derive(machine_seed, 1))
-        elif f_i.solution_count() > 0:
-            stopped.append(i)
 
     step = 0
     while sweeps:
@@ -242,11 +231,10 @@ def run_parallel(f: BooleanFunction, k: int, a: int, seed: int,
                 finishers.append((i, outcome.measured_x))
         if finishers:
             winner, x = min(finishers)
-            return _finalize("found", (x << k) | winner, winner, machines,
-                             stopped)
+            return _finalize("found", (x << k) | winner, winner, machines)
         sweeps = {i: v for i, v in sweeps.items() if step + 1 < len(v[1])}
         step += 1
-    return _finalize("not_found", None, None, machines, stopped)
+    return _finalize("not_found", None, None, machines)
 
 
 def worst_case_query_bound(n: int, k: int, a: int) -> tuple[int, int]:

@@ -29,12 +29,6 @@ _QFT_CACHE: dict[tuple[int, bool], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
-class EstimationConfig:
-    target_arity: int
-    precision_qubits: int
-
-
-@dataclass(frozen=True)
 class CountEstimate:
     y: int
     grid: int
@@ -49,9 +43,7 @@ class QOperator:
 
     def __init__(self, f: BooleanFunction):
         self.f = f
-        self.query_cost = 1
-        self._signs = f.phase_signs() if f.backend.kind != "compiled-circuit" \
-            else None
+        self._signs = f.phase_signs()
 
     def __call__(self, state: StateVector) -> StateVector:
         n = self.f.arity
@@ -65,11 +57,6 @@ class QOperator:
 
     def apply_batch(self, mat: np.ndarray) -> np.ndarray:
         """Q on a (batch, 2^n) block of target branches."""
-        if self._signs is None:
-            # compiled oracles need per-branch circuit execution
-            for row in range(mat.shape[0]):
-                mat[row] = self(StateVector(self.f.arity, mat[row])).amps
-            return mat
         n = self.f.arity
         mat *= self._signs[None, :]
         _hadamard_rows(mat, n)
@@ -117,23 +104,17 @@ def apply_qft(state: StateVector, register: range,
     return state
 
 
-def est_amp_distribution(f: BooleanFunction, m: int,
-                         state_prep=None) -> MeasurementDistribution:
-    """Exact distribution of the reading-register outcome y.
-
-    `state_prep` prepares the target register from |0..0> and defaults to
-    the uniform superposition (the only preparation exercised here).
-    """
+def est_amp_distribution(f: BooleanFunction,
+                         m: int) -> MeasurementDistribution:
+    """Exact distribution of the reading-register outcome y, with the target
+    register prepared in the uniform superposition."""
     n = f.arity
     if m < 1:
         raise UsageError("precision qubits m must be >= 1")
     check_capacity(m + n)
     state = init_basis(m + n, 0)
     target = range(m, m + n)
-    if state_prep is None:
-        apply_hadamard_all(state, target)
-    else:
-        state_prep(state, target)
+    apply_hadamard_all(state, target)
     control = range(0, m)
     apply_qft(state, control)
     apply_controlled_powers(state, control, build_q_operator(f), 1,

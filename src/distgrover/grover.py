@@ -19,14 +19,6 @@ from .errors import UsageError
 
 
 @dataclass(frozen=True)
-class GroverPlan:
-    arity: int
-    assumed_solution_count: int
-    iterations: int
-    predicted_success: float
-
-
-@dataclass(frozen=True)
 class GroverOutcome:
     measured_x: int
     is_solution: int
@@ -50,10 +42,6 @@ def success_probability(n: int, a: int) -> float:
     k = grover_iterations(n, a)
     theta = math.asin(math.sqrt(a / (1 << n)))
     return math.sin((2 * k + 1) * theta) ** 2
-
-
-def plan(n: int, a: int) -> GroverPlan:
-    return GroverPlan(n, a, grover_iterations(n, a), success_probability(n, a))
 
 
 def apply_grover_iterate(f: BooleanFunction, state: StateVector,

@@ -1,10 +1,12 @@
 """Boolean functions and their phase oracles.
 
 A BooleanFunction is immutable after construction and backs every oracle in
-the package. Three backends: an explicit truth table, a CNF formula, and a
-compiled oracle circuit (see the `compiler` module). The phase oracle Z_f
-flips the sign of basis states with f(x) = 1 and charges exactly one quantum
-query per application regardless of arity.
+the package. It is one truth table, built on first use and cached, plus the
+CNF formula it came from, if any, which `restrict` restricts. The table comes
+from an explicit table, a constant, a CNF formula evaluated directly, or the
+diagonal of the formula's compiled oracle circuit (see the `compiler`
+module). The phase oracle Z_f flips the sign of basis states with f(x) = 1
+and charges exactly one quantum query per application regardless of arity.
 
 Inputs x are accepted as integers (basis index, variable 1 / qubit 0 = most
 significant bit) or as bit strings.
@@ -12,12 +14,15 @@ significant bit) or as bit strings.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from . import cnf as cnfmod
-from .errors import CapacityError, UsageError
+from .errors import CapacityError, ParseError, UsageError
 from .ledger import QueryLedger
-from .statevector import (StateVector, apply_diagonal_phase, max_qubits)
+from .statevector import (StateVector, apply_diagonal_phase, check_capacity,
+                          max_qubits)
 
 
 def _as_index(x, arity: int) -> int:
@@ -35,46 +40,22 @@ def _as_index(x, arity: int) -> int:
     return index
 
 
-class _TableBackend:
-    kind = "truth-table"
-
-    def __init__(self, table: np.ndarray):
-        self.table = table
-
-    def truth_values(self) -> np.ndarray:
-        return self.table
-
-
-class _ConstantBackend:
-    kind = "constant"
-
-    def __init__(self, arity: int, value: int):
-        self.arity = arity
-        self.value = value
-
-    def truth_values(self) -> np.ndarray:
-        return np.full(1 << self.arity, self.value, dtype=np.uint8)
-
-
-class _CnfBackend:
-    kind = "cnf"
-
-    def __init__(self, formula: cnfmod.CnfFormula):
-        self.formula = formula
-
-    def truth_values(self) -> np.ndarray:
-        return self.formula.truth_values()
-
-
 class BooleanFunction:
-    """n-variable Boolean function with exact query accounting hooks."""
+    """n-variable Boolean function with exact query accounting hooks.
 
-    def __init__(self, arity: int, backend, label: str = "f"):
+    `build(formula)` returns the 2^arity truth values as uint8; it runs once,
+    on first use. `formula` is the CNF the function came from, or None;
+    `restrict` restricts it and builds the subfunction with the same `build`.
+    """
+
+    def __init__(self, arity: int, build, label: str = "f",
+                 formula: cnfmod.CnfFormula | None = None):
         if arity < 1:
             raise UsageError("arity must be >= 1")
         self.arity = arity
-        self.backend = backend
         self.label = label
+        self.formula = formula
+        self._build = build
         self._truth_cache: np.ndarray | None = None
         self._signs_cache: np.ndarray | None = None
 
@@ -90,31 +71,49 @@ class BooleanFunction:
         if size != (1 << arity) or arity < 1:
             raise UsageError(f"truth table length {size} is not a power of "
                              "two >= 2")
-        return cls(arity, _TableBackend(table), label)
+        return cls(arity, lambda _: table, label)
 
     @classmethod
     def from_cnf(cls, formula: cnfmod.CnfFormula,
                  label: str = "cnf") -> "BooleanFunction":
-        return cls(formula.variable_count, _CnfBackend(formula), label)
+        return cls(formula.variable_count, cnfmod.CnfFormula.truth_values,
+                   label, formula)
 
     @classmethod
     def constant(cls, arity: int, value: int,
                  label: str | None = None) -> "BooleanFunction":
-        label = label or f"const-{int(bool(value))}"
-        return cls(arity, _ConstantBackend(arity, int(bool(value))), label)
+        value = int(bool(value))
+        return cls(arity, lambda _: np.full(1 << arity, value, np.uint8),
+                   label or f"const-{value}")
+
+    @classmethod
+    def from_table_text(cls, text: str,
+                        label: str = "f") -> "BooleanFunction":
+        """Truth-table text: first line n, second line 2^n of {0,1}; blank
+        lines are skipped. Format errors raise ParseError with the line."""
+        lines = [(number, stripped)
+                 for number, line in enumerate(text.splitlines(), 1)
+                 if (stripped := line.strip())]
+        if len(lines) < 2:
+            raise ParseError("expected an arity line and a table line")
+        (arity_line, arity_text), (table_line, table) = lines[:2]
+        try:
+            n = int(arity_text)
+        except ValueError:
+            raise ParseError(f"arity {arity_text!r} is not an integer",
+                             arity_line) from None
+        if n < 1:
+            raise ParseError(f"arity {n} must be >= 1", arity_line)
+        check_capacity(n)
+        if len(table) != 1 << n or set(table) - {"0", "1"}:
+            raise ParseError(f"table must be 2^{n} characters of 0/1",
+                             table_line)
+        return cls.from_truth_table(table, label)
 
     @classmethod
     def from_file(cls, path) -> "BooleanFunction":
-        """Truth-table text file: first line n, second line 2^n of {0,1}."""
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if len(lines) < 2:
-            raise UsageError(f"{path}: expected arity line and table line")
-        n = int(lines[0])
-        table = lines[1]
-        if len(table) != 1 << n or set(table) - {"0", "1"}:
-            raise UsageError(f"{path}: table must be 2^{n} characters of 0/1")
-        return cls.from_truth_table(table, label=str(path))
+        """Truth-table text file; see `from_table_text`."""
+        return cls.from_table_text(Path(path).read_text(), label=str(path))
 
     # -- evaluation -------------------------------------------------------
 
@@ -124,8 +123,6 @@ class BooleanFunction:
         index = _as_index(x, self.arity)
         if ledger is not None:
             ledger.add_classical(1, phase)
-        if self.backend.kind == "cnf":
-            return self.backend.formula.evaluate(index)
         return int(self.truth_values()[index])
 
     def truth_values(self) -> np.ndarray:
@@ -134,7 +131,7 @@ class BooleanFunction:
             raise CapacityError(f"arity {self.arity} exceeds exhaustive-"
                                 "evaluation capacity")
         if self._truth_cache is None:
-            self._truth_cache = self.backend.truth_values()
+            self._truth_cache = self._build(self.formula)
         return self._truth_cache
 
     def solution_count(self) -> int:
@@ -154,10 +151,7 @@ class BooleanFunction:
         if len(register) != self.arity:
             raise UsageError(f"register width {len(register)} does not match "
                              f"arity {self.arity}")
-        if self.backend.kind == "compiled-circuit":
-            self.backend.apply_phase(state, register)
-        else:
-            apply_diagonal_phase(state, register, self.phase_signs())
+        apply_diagonal_phase(state, register, self.phase_signs())
         if ledger is not None:
             ledger.add_quantum(1, phase="oracle")
         return state
@@ -173,20 +167,15 @@ class BooleanFunction:
         if not 1 <= k < n:
             raise UsageError(f"suffix length {k} must be in [1, {n - 1}]")
         label = f"{self.label}|{bits}"
-        if self.backend.kind == "cnf":
-            restricted = cnfmod.restrict_cnf(self.backend.formula, bits)
-            if restricted.constant_false:
-                return BooleanFunction.constant(n - k, 0, label)
-            if restricted.is_constant_true:
-                return BooleanFunction.constant(n - k, 1, label)
-            return BooleanFunction(n - k, _CnfBackend(restricted), label)
-        if self.backend.kind == "compiled-circuit":
-            return self.backend.restrict(bits, label)
-        if self.backend.kind == "constant":
-            return BooleanFunction.constant(n - k, self.backend.value, label)
+        if self.formula is not None:
+            restricted = cnfmod.restrict_cnf(self.formula, bits)
+            if restricted.constant_false or restricted.is_constant_true:
+                return BooleanFunction.constant(
+                    n - k, restricted.is_constant_true, label)
+            return BooleanFunction(n - k, self._build, label, restricted)
         y = int(bits, 2)
-        table = self.truth_values().reshape(1 << (n - k), 1 << k)[:, y]
-        return BooleanFunction(n - k, _TableBackend(table.copy()), label)
+        table = self.truth_values().reshape(1 << (n - k), 1 << k)[:, y].copy()
+        return BooleanFunction(n - k, lambda _: table, label)
 
 
 def apply_zero_reflection(state: StateVector, register: range) -> StateVector:
@@ -195,7 +184,3 @@ def apply_zero_reflection(state: StateVector, register: range) -> StateVector:
     signs[0] = -1.0
     return apply_diagonal_phase(state, register, signs)
 
-
-def apply_phase_oracle(f: BooleanFunction, state: StateVector, register: range,
-                       ledger: QueryLedger | None = None) -> StateVector:
-    return f.apply_phase_oracle(state, register, ledger)

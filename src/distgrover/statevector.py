@@ -28,7 +28,13 @@ _SQRT_HALF = math.sqrt(0.5)
 def max_qubits() -> int:
     """Amplitude-array capacity; override with DISTGROVER_MAX_QUBITS."""
     raw = os.environ.get("DISTGROVER_MAX_QUBITS")
-    return int(raw) if raw else DEFAULT_MAX_QUBITS
+    if not raw:
+        return DEFAULT_MAX_QUBITS
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"DISTGROVER_MAX_QUBITS={raw!r} is not an "
+                         "integer") from None
 
 
 def check_capacity(qubit_count: int) -> None:

@@ -6,6 +6,8 @@ import pytest
 
 from distgrover import BooleanFunction
 from distgrover.cnf import CnfFormula
+from distgrover.compiler import MultiControlledAdd, PauliX
+from distgrover.errors import InvariantError
 
 
 def marked_function(n: int, marked) -> BooleanFunction:
@@ -54,6 +56,42 @@ def random_3cnf(n: int, m: int, rng: random.Random) -> CnfFormula:
         clauses.append(tuple(v if rng.random() < 0.5 else -v
                              for v in variables))
     return CnfFormula(variable_count=n, clauses=clauses)
+
+
+def live_counter_apply(circuit, amps: np.ndarray) -> np.ndarray:
+    """Reference execution of an oracle circuit with a live counter
+    register: the M counter qubits are appended after the n input qubits as
+    the least significant bits of a 2^(n+M) state, every gate permutes that
+    state's amplitudes, and the counter is projected back out after checking
+    that it returned to |0..0> on every branch. Kept for n <= 8 only."""
+    n = circuit.input_qubits
+    width = circuit.counter_qubits
+    assert n <= 8, "the live-counter reference is for small circuits"
+    big_q = n + width
+    dim = 1 << big_q
+    counter_mask = (1 << width) - 1
+
+    ext = np.zeros(dim, dtype=np.complex128)
+    ext.reshape(-1, 1 << width)[:, 0] = amps
+    idx = np.arange(dim)
+    cval = idx & counter_mask
+    for gate in circuit.gates:
+        if isinstance(gate, PauliX):
+            ext = ext[idx ^ (1 << (big_q - 1 - gate.qubit))]
+        elif isinstance(gate, MultiControlledAdd):
+            ok = cval < gate.modulus
+            for q, pol in gate.controls:
+                ok &= ((idx >> (big_q - 1 - q)) & 1) == int(pol)
+            delta = 1 if gate.subtract else -1   # source counter offset
+            src_counter = (cval + delta) % gate.modulus
+            ext = ext[np.where(ok, (idx & ~counter_mask) | src_counter, idx)]
+        else:
+            ext = ext.copy()
+            ext[cval == 0] *= -1.0
+    final = ext.reshape(-1, 1 << width)
+    if np.abs(final[:, 1:]).max(initial=0.0) > 0.0:
+        raise InvariantError("counter register not restored")
+    return final[:, 0].copy()
 
 
 @pytest.fixture

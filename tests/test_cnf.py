@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from distgrover import (
     CnfFormula,
     QueryLedger,
     compile_phase_oracle,
+    compiler,
+    est_amp_distribution,
     gate_count,
     oracle_from_formula,
     parse_dimacs,
@@ -26,9 +30,9 @@ from distgrover.compiler import (
     counter_width,
     simulate_oracle_circuit,
 )
-from distgrover.errors import NotCompilableError, ParseError
+from distgrover.errors import InvariantError, NotCompilableError, ParseError
 
-from conftest import random_3cnf
+from conftest import live_counter_apply, random_3cnf
 
 EXAMPLE = """\
 c a small instance
@@ -271,3 +275,51 @@ def test_compiled_oracle_restrict(rng):
     for y in range(4):
         sub = oracle.restrict(format(y, "02b"))
         assert np.array_equal(sub.truth_values(), full[y::4])
+
+
+def test_diagonal_matches_live_counter_execution(rng):
+    gen = np.random.default_rng(17)
+    for _ in range(20):
+        n = rng.randint(2, 8)
+        circuit = compile_phase_oracle(random_3cnf(n, rng.randint(1, 24), rng))
+        amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+        # both are exact permutations and sign flips, so equality is exact
+        assert np.array_equal(live_counter_apply(circuit, amps),
+                              amps * circuit_diagonal(circuit))
+
+
+def test_diagonal_rejects_unrestoring_circuit():
+    circuit = compile_phase_oracle(parse_dimacs(EXAMPLE))
+    gates = list(circuit.gates)
+    csub = next(i for i, g in enumerate(gates)
+                if isinstance(g, MultiControlledAdd) and g.subtract)
+    x_gate = next(i for i, g in enumerate(gates) if isinstance(g, PauliX))
+    for drop in (csub, x_gate):
+        broken = dataclasses.replace(
+            circuit, gates=tuple(gates[:drop] + gates[drop + 1:]))
+        with pytest.raises(InvariantError, match="does not restore"):
+            circuit_diagonal(broken)
+    with pytest.raises(InvariantError):
+        live_counter_apply(dataclasses.replace(
+            circuit, gates=tuple(gates[:csub] + gates[csub + 1:])),
+            np.ones(8, dtype=complex))
+
+
+def test_compiled_table_built_once_per_function(monkeypatch):
+    calls = []
+
+    def counting_diagonal(circuit):
+        calls.append(circuit.input_qubits)
+        return circuit_diagonal(circuit)
+
+    monkeypatch.setattr(compiler, "circuit_diagonal", counting_diagonal)
+    # two solutions: 4 Grover iterates, each one oracle query
+    f = oracle_from_formula(CnfFormula(6, [(1,), (2,), (-3,), (4,), (5,)]))
+    ledger = QueryLedger()
+    run_grover(f, 2, 5, ledger)
+    assert ledger.quantum_queries == 4
+    est_amp_distribution(f, 3)
+    sub = f.restrict("1")
+    for _ in range(2):
+        run_grover(sub, 1, 5, QueryLedger())
+    assert calls == [6, 5]

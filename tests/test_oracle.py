@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from distgrover import (BooleanFunction, QueryLedger, UsageError,
+from distgrover import (BooleanFunction, ParseError, QueryLedger, UsageError,
                         apply_hadamard_all, apply_zero_reflection, init_basis)
 from distgrover.cnf import CnfFormula
 
@@ -155,7 +155,7 @@ def test_truth_table_file_roundtrip(tmp_path):
 def test_truth_table_file_errors(tmp_path):
     path = tmp_path / "bad.table"
     path.write_text("2\n001\n")
-    with pytest.raises(UsageError):
+    with pytest.raises(ParseError, match="line 2"):
         BooleanFunction.from_file(path)
 
 
