@@ -12,7 +12,7 @@ from .distributed import (CandidateSet, DistOutcome, build_candidate_set,
                           worst_case_query_bound)
 from .errors import (CapacityError, DistGroverError, InvariantError,
                      NotCompilableError, ParseError, UsageError)
-from .estimation import (CountEstimate, build_q_operator, relaxed_error_bound,
+from .estimation import (CountEstimate, QOperator, relaxed_error_bound,
                          count_error_bound, counting_grid_for,
                          est_amp_distribution, run_count, run_est_amp)
 from .grover import (GroverOutcome, apply_grover_iterate, grover_iterations,

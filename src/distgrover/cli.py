@@ -22,6 +22,7 @@ from . import compiler, distributed, estimation, grover
 from .errors import DistGroverError, ParseError, UsageError
 from .ledger import QueryLedger
 from .oracle import BooleanFunction
+from .statevector import check_capacity
 
 REPORT_SCHEMA = "distgrover-report/1"
 
@@ -58,6 +59,7 @@ def _load_function(args) -> tuple[BooleanFunction, dict,
         fmt = "dimacs" if path.suffix in (".cnf", ".dimacs") else "table"
     if fmt == "dimacs":
         formula = cnfmod.parse_dimacs(text)
+        check_capacity(formula.variable_count)
         if formula.constant_false:
             f = BooleanFunction.constant(formula.variable_count, 0)
         elif formula.is_constant_true:
@@ -107,7 +109,8 @@ def cmd_grover(args) -> dict:
 def cmd_count(args) -> dict:
     f, descriptor, _ = _load_function(args)
     n = f.arity
-    grid = args.grid if args.grid else estimation.counting_grid_for(n)
+    grid = args.grid if args.grid is not None \
+        else estimation.counting_grid_for(n)
     ledger = QueryLedger()
     started = time.perf_counter()
     estimate = estimation.run_count(f, grid, args.seed, ledger)
@@ -140,8 +143,7 @@ def cmd_dist(args, mode: str) -> dict:
     if mode == "serial":
         outcome = distributed.run_serial(f, args.k, args.a, args.seed)
     else:
-        outcome = distributed.run_parallel(f, args.k, args.a, args.seed,
-                                           fast_a1=args.fast_a1)
+        outcome = distributed.run_parallel(f, args.k, args.a, args.seed)
     serial_bound, parallel_bound = distributed.worst_case_query_bound(
         n, args.k, args.a)
     report = _base_report(f"dist-{mode}", descriptor,
@@ -233,10 +235,6 @@ def build_parser() -> _Parser:
         common(p)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--a", type=int, required=True)
-        p.add_argument("--fast-a1", dest="fast_a1", action="store_true",
-                       default=None,
-                       help="skip counting and assume one solution per "
-                            "machine (auto when --a 1)")
 
     p = sub.add_parser("compile", help="compile a DIMACS CNF to oracle IR")
     p.add_argument("--input", required=True)

@@ -10,7 +10,7 @@ parsed or derived empty clause sets `constant_false`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

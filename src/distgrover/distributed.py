@@ -25,14 +25,6 @@ from .seeding import derive
 
 
 @dataclass(frozen=True)
-class DecompositionPlan:
-    n: int
-    k: int
-    sub_arity: int
-    machine_count: int
-
-
-@dataclass(frozen=True)
 class CandidateSet:
     machine_index: int
     estimate: int
@@ -189,31 +181,18 @@ def run_parallel(f: BooleanFunction, k: int, a: int, seed: int,
     machines = [MachineRecord(index=i, candidate_set=None)
                 for i in range(1 << k)]
 
-    if fast_a1:
-        winner = None
-        solution = None
-        for i, f_i in enumerate(subfunctions):
-            machine_seed = derive(seed, i)
-            outcome = run_grover(f_i, 1, derive(derive(machine_seed, 1), 0),
-                                 machines[i].ledger)
-            machines[i].attempts.append((1, outcome.measured_x,
-                                         outcome.is_solution))
-            if outcome.is_solution and winner is None:
-                winner = i
-                solution = (outcome.measured_x << k) | i
-        if winner is not None:
-            return _finalize("found", solution, winner, machines)
-        return _finalize("not_found", None, None, machines)
-
     sweeps: dict[int, tuple[BooleanFunction, list[int], int]] = {}
     for i, f_i in enumerate(subfunctions):
         machine_seed = derive(seed, i)
-        cs = build_candidate_set(f_i, a, derive(machine_seed, 0),
-                                 machines[i].ledger, machine_index=i)
-        machines[i].candidate_set = cs
-        if cs.candidates:
-            sweeps[i] = (f_i, sorted(cs.candidates, reverse=True),
-                         derive(machine_seed, 1))
+        if fast_a1:
+            order = [1]
+        else:
+            cs = build_candidate_set(f_i, a, derive(machine_seed, 0),
+                                     machines[i].ledger, machine_index=i)
+            machines[i].candidate_set = cs
+            order = sorted(cs.candidates, reverse=True)
+        if order:
+            sweeps[i] = (f_i, order, derive(machine_seed, 1))
 
     step = 0
     while sweeps:

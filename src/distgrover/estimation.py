@@ -21,8 +21,8 @@ from .errors import UsageError
 from .ledger import QueryLedger
 from .oracle import BooleanFunction
 from .statevector import (MeasurementDistribution, StateVector,
-                          apply_controlled_powers, apply_hadamard_all,
-                          check_capacity, init_basis,
+                          _hadamard_layers, apply_controlled_powers,
+                          apply_hadamard_all, check_capacity, init_basis,
                           measurement_distribution, sample)
 
 _QFT_CACHE: dict[tuple[int, bool], np.ndarray] = {}
@@ -45,40 +45,15 @@ class QOperator:
         self.f = f
         self._signs = f.phase_signs()
 
-    def __call__(self, state: StateVector) -> StateVector:
-        n = self.f.arity
-        register = range(0, n)
-        self.f.apply_phase_oracle(state, register)          # U_f
-        apply_hadamard_all(state, register)                 # A^{-1}
-        state.amps *= -1.0                                  # U0_perp =
-        state.amps[0] *= -1.0                               # 2|0><0| - I
-        apply_hadamard_all(state, register)                 # A
-        return state
-
-    def apply_batch(self, mat: np.ndarray) -> np.ndarray:
-        """Q on a (batch, 2^n) block of target branches."""
-        n = self.f.arity
+    def apply_batch(self, mat: np.ndarray) -> None:
+        """Q in place on every row of a contiguous (rows, 2^n) block of
+        target branches: U_f, A^{-1}, U0_perp = 2|0><0| - I, A."""
+        rows, qubits = mat.shape[0], range(self.f.arity)
         mat *= self._signs[None, :]
-        _hadamard_rows(mat, n)
+        _hadamard_layers(mat, rows, qubits)
         mat *= -1.0
         mat[:, 0] *= -1.0
-        _hadamard_rows(mat, n)
-        return mat
-
-
-def _hadamard_rows(mat: np.ndarray, n: int) -> None:
-    sqrt_half = math.sqrt(0.5)
-    batch = mat.shape[0]
-    for j in range(n):
-        view = mat.reshape(batch, 1 << j, 2, -1)
-        top = view[:, :, 0, :].copy()
-        bot = view[:, :, 1, :]
-        view[:, :, 0, :] = (top + bot) * sqrt_half
-        view[:, :, 1, :] = (top - bot) * sqrt_half
-
-
-def build_q_operator(f: BooleanFunction) -> QOperator:
-    return QOperator(f)
+        _hadamard_layers(mat, rows, qubits)
 
 
 def _qft_matrix(width: int, inverse: bool) -> np.ndarray:
@@ -117,8 +92,7 @@ def est_amp_distribution(f: BooleanFunction,
     apply_hadamard_all(state, target)
     control = range(0, m)
     apply_qft(state, control)
-    apply_controlled_powers(state, control, build_q_operator(f), 1,
-                            ledger=None)
+    apply_controlled_powers(state, control, QOperator(f).apply_batch)
     apply_qft(state, control, inverse=True)
     return measurement_distribution(state, control)
 

@@ -63,9 +63,12 @@ class BooleanFunction:
 
     @classmethod
     def from_truth_table(cls, bits, label: str = "f") -> "BooleanFunction":
-        table = np.asarray(
-            [int(b) for b in bits] if isinstance(bits, str) else bits,
-            dtype=np.uint8)
+        if isinstance(bits, str):
+            bits = [int(b) if b in "01" else -1 for b in bits]
+        raw = np.asarray(bits)
+        if not ((raw == 0) | (raw == 1)).all():
+            raise UsageError("truth table entries must be 0 or 1")
+        table = raw.astype(np.uint8)
         size = table.shape[0]
         arity = size.bit_length() - 1
         if size != (1 << arity) or arity < 1:

@@ -116,80 +116,59 @@ def init_basis(qubit_count: int, basis_index: int) -> StateVector:
     return StateVector(qubit_count, amps)
 
 
-def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
-    """Walsh-Hadamard transform on every qubit of `register` (in place)."""
-    _check_register(state.qubit_count, register)
-    q = state.qubit_count
-    for j in register:
-        m = state.amps.reshape(1 << j, 2, -1)
+def _hadamard_layers(amps: np.ndarray, rows: int, qubits) -> None:
+    """H on each listed qubit of every row of a contiguous (rows, 2^q)
+    block, in place."""
+    for j in qubits:
+        m = amps.reshape(rows << j, 2, -1)
         top = m[:, 0, :].copy()
         bot = m[:, 1, :]
         m[:, 0, :] = (top + bot) * _SQRT_HALF
         m[:, 1, :] = (top - bot) * _SQRT_HALF
-    assert state.amps.shape == (1 << q,)
+
+
+def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
+    """Walsh-Hadamard transform on every qubit of `register` (in place)."""
+    _check_register(state.qubit_count, register)
+    _hadamard_layers(state.amps, 1, register)
+    assert state.amps.shape == (1 << state.qubit_count,)
     return _check_norm(state)
 
 
 def apply_diagonal_phase(state: StateVector, register: range,
-                         phase_predicate) -> StateVector:
-    """Multiply each amplitude by the +-1 value of its register bits.
-
-    `phase_predicate` is either a callable basis-value -> {+1, -1} or a
-    precomputed array of 2^width signs.
-    """
+                         signs) -> StateVector:
+    """Multiply each amplitude by the +-1 sign of its register bits, given
+    as an array of 2^width signs indexed by the register's basis value."""
     _check_register(state.qubit_count, register)
     before, mid, after = _split_shape(state.qubit_count, register)
-    if callable(phase_predicate):
-        signs = np.fromiter((phase_predicate(v) for v in range(mid)),
-                            dtype=np.float64, count=mid)
-    else:
-        signs = np.asarray(phase_predicate, dtype=np.float64)
-        if signs.shape != (mid,):
-            raise UsageError("sign array length must be 2^register-width")
+    signs = np.asarray(signs, dtype=np.float64)
+    if signs.shape != (mid,):
+        raise UsageError("sign array length must be 2^register-width")
     state.amps.reshape(before, mid, after)[:] *= signs[None, :, None]
     return _check_norm(state)
 
 
 def apply_controlled_powers(state: StateVector, control_register: range,
-                            target_unitary, query_cost_per_application: int,
-                            ledger=None) -> StateVector:
-    """For each control basis value j, apply `target_unitary` j times to the
-    conditional target branch: |j>|psi> -> |j>(U^j |psi>).
+                            apply_batch) -> StateVector:
+    """For each control basis value j, apply U j times to the conditional
+    target branch: |j>|psi> -> |j>(U^j |psi>).
 
-    The target register is everything outside `control_register`;
-    `target_unitary` maps a StateVector of that width to itself. The ledger
-    is charged (2^m - 1) * cost, the standard phase-estimation accounting,
-    independent of how the simulation realizes the powers. A `target_unitary`
-    exposing an ``apply_batch(matrix)`` method is applied branch-batched.
+    The control register must be the leading qubits; the target register is
+    the rest. `apply_batch` applies U in place to every row of a contiguous
+    (rows, 2^target) block of target branches. Queries are charged by the
+    caller, not here.
     """
     q = state.qubit_count
     _check_register(q, control_register)
+    if control_register.start != 0:
+        raise UsageError("control register must be the leading qubits")
     m = len(control_register)
     if m >= q:
         raise UsageError("control register must leave a non-empty target")
-    rest = q - m
-
-    arr = state.amps.reshape([2] * q)
-    axes = list(control_register) + [j for j in range(q)
-                                     if j not in control_register]
-    mat = np.transpose(arr, axes).reshape(1 << m, 1 << rest).copy()
-
-    if hasattr(target_unitary, "apply_batch"):
-        # branch j has had U applied r times once all rounds r <= j ran
-        for r in range(1, 1 << m):
-            mat[r:] = target_unitary.apply_batch(mat[r:])
-    else:
-        for j in range(1, 1 << m):
-            branch = StateVector(rest, mat[j])
-            for _ in range(j):
-                branch = target_unitary(branch)
-            mat[j] = branch.amps
-
-    inv = np.argsort(axes)
-    state.amps = np.transpose(mat.reshape([2] * q), inv).reshape(-1).copy()
-    if ledger is not None:
-        ledger.add_quantum(((1 << m) - 1) * query_cost_per_application,
-                           phase="controlled-powers")
+    mat = state.amps.reshape(1 << m, -1)
+    # branch j has had U applied r times once all rounds r <= j ran
+    for r in range(1, 1 << m):
+        apply_batch(mat[r:])
     return _check_norm(state)
 
 

@@ -1,9 +1,6 @@
 import hashlib
 import json
 
-import numpy as np
-import pytest
-
 from distgrover.cli import REPORT_SCHEMA, main
 
 from conftest import marked_function
@@ -125,6 +122,15 @@ def test_capacity_exit_code(tmp_path, capsys, monkeypatch):
     huge = tmp_path / "huge.table"
     huge.write_text("1000000000000\n01\n")
     assert main(["grover", "--input", str(huge), "--a", "1"]) == 3
+    # a DIMACS header over capacity exits 3 before anything is sized from it
+    monkeypatch.delenv("DISTGROVER_MAX_QUBITS")
+    wide = tmp_path / "wide.cnf"
+    wide.write_text("p cnf 2000 1\n1 0\n")
+    for argv in (["grover", "--a", "1"],
+                 ["grover", "--a", "1", "--oracle", "compiled"],
+                 ["dist-parallel", "--k", "1", "--a", "1"]):
+        assert main(argv + ["--input", str(wide)]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_count_report_and_default_grid(tmp_path, capsys):
@@ -140,7 +146,8 @@ def test_count_report_and_default_grid(tmp_path, capsys):
 
 def test_count_rejects_bad_grid(tmp_path, capsys):
     path = write_table(tmp_path, 4, [0])
-    assert main(["count", "--input", str(path), "--grid", "6"]) == 1
+    for grid in ("6", "0"):
+        assert main(["count", "--input", str(path), "--grid", grid]) == 1
 
 
 def test_dist_serial_report(tmp_path, capsys):

@@ -18,7 +18,6 @@ from distgrover import (
 from distgrover.cnf import clause_is_false, restrict_cnf
 from distgrover.compiler import (
     ELEMENTARY_SCALING_CONSTANT,
-    CircuitIR,
     MultiControlledAdd,
     PauliX,
     ZeroPhaseOnCounter,

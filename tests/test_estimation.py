@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from distgrover import (BooleanFunction, QueryLedger, UsageError,
-                        apply_hadamard_all, build_q_operator,
+from distgrover import (BooleanFunction, QOperator, QueryLedger, UsageError,
+                        apply_grover_iterate, apply_hadamard_all,
                         relaxed_error_bound, count_error_bound,
                         counting_grid_for, est_amp_distribution, init_basis,
                         run_count, run_est_amp)
@@ -14,14 +14,18 @@ from conftest import (closed_form_count_distribution, first_k_marked,
                       marked_function)
 
 
+def _apply_q(f, state):
+    # the production Q, on the state as a one-row block
+    QOperator(f).apply_batch(state.amps.reshape(1, -1))
+    return state
+
+
 def test_q_operator_equals_grover_iterate():
     # with uniform preparation, the estimation iterate is exactly G
-    from distgrover import apply_grover_iterate
     f = marked_function(3, [1, 6])
-    q = build_q_operator(f)
     a = apply_hadamard_all(init_basis(3, 0), range(0, 3))
     b = a.copy()
-    q(a)
+    _apply_q(f, a)
     apply_grover_iterate(f, b)
     assert np.abs(a.amps - b.amps).max() < 1e-12
 
@@ -34,9 +38,8 @@ def test_q_operator_preserves_good_bad_span():
         f = marked_function(n, rng.choice(1 << n, size=t, replace=False))
         good = f.truth_values() == 1
         state = apply_hadamard_all(init_basis(n, 0), range(0, n))
-        q = build_q_operator(f)
         for _ in range(4):
-            q(state)
+            _apply_q(f, state)
             for group in (state.amps[good], state.amps[~good]):
                 if group.size:
                     assert np.abs(group - group[0]).max() < 1e-12
@@ -48,7 +51,6 @@ def test_q_squared_rotates_by_four_theta():
         good = f.truth_values() == 1
         theta = math.asin(math.sqrt(t / (1 << n)))
         state = apply_hadamard_all(init_basis(n, 0), range(0, n))
-        q = build_q_operator(f)
 
         def angle(s):
             c_good = s.amps[good].sum().real / math.sqrt(t)
@@ -56,8 +58,8 @@ def test_q_squared_rotates_by_four_theta():
             return math.atan2(c_good, c_bad)
 
         before = angle(state)
-        q(state)
-        q(state)
+        _apply_q(f, state)
+        _apply_q(f, state)
         after = angle(state)
         delta = (after - before) % (2 * math.pi)
         assert delta == pytest.approx(4 * theta, abs=1e-9)
@@ -67,19 +69,21 @@ def test_q_on_constant_zero_is_identity_up_to_sign():
     f = BooleanFunction.constant(3, 0)
     state = apply_hadamard_all(init_basis(3, 0), range(0, 3))
     before = state.amps.copy()
-    build_q_operator(f)(state)
+    _apply_q(f, state)
     assert (np.abs(state.amps - before).max() < 1e-12
             or np.abs(state.amps + before).max() < 1e-12)
 
 
 def test_q_batch_matches_single():
     f = marked_function(4, [3, 9, 12])
-    q = build_q_operator(f)
     rng = np.random.default_rng(8)
     mat = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
     mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    singles = np.stack([q(StateVector(4, row.copy())).amps for row in mat])
-    batched = q.apply_batch(mat.copy())
+    singles = np.stack([
+        apply_grover_iterate(f, StateVector(4, row.copy())).amps
+        for row in mat])
+    batched = mat.copy()
+    QOperator(f).apply_batch(batched)
     assert np.abs(singles - batched).max() < 1e-12
 
 

@@ -22,6 +22,14 @@ def test_evaluate_truth_table():
         f.evaluate("1")
 
 
+def test_truth_table_entries_must_be_bits():
+    for bits in ([0, 2, 1, 1], [0, -1, 1, 1], "01a1", "0121"):
+        with pytest.raises(UsageError):
+            BooleanFunction.from_truth_table(bits)
+    f = BooleanFunction.from_truth_table([False, True, True, False])
+    assert f.truth_values().tolist() == [0, 1, 1, 0]
+
+
 def test_evaluate_cnf():
     # (x1 or not-x2) and (not-x1 or x3)
     formula = CnfFormula(3, [(1, -2), (-1, 3)])
