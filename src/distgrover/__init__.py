@@ -3,9 +3,8 @@ quantum counting, distributed subfunction search, and CNF phase-oracle
 compilation, with exact query accounting throughout."""
 
 from .cnf import CnfFormula, clause_is_false, parse_dimacs, restrict_cnf
-from .compiler import (CircuitIR, build_add, build_sub, build_uk,
-                       compile_phase_oracle, gate_count, oracle_from_formula,
-                       simulate_oracle_circuit)
+from .compiler import (CircuitIR, build_uk, compile_phase_oracle, gate_count,
+                       oracle_from_formula, simulate_oracle_circuit)
 from .distributed import (CandidateSet, DistOutcome, build_candidate_set,
                           candidate_window, decompose, run_parallel,
                           run_serial, sweep_candidates, threshold_t_a,

@@ -78,12 +78,20 @@ def _base_report(command: str, descriptor: dict, params: dict) -> dict:
             "parameters": params}
 
 
+def _write(path, text: str, mode: str) -> None:
+    try:
+        with open(path, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(report: dict, args) -> None:
+    """Append the report to --json first, so a failed write prints none."""
     line = json.dumps(report, sort_keys=True)
-    print(line)
     if args.json:
-        with open(args.json, "a") as fh:
-            fh.write(line + "\n")
+        _write(args.json, line + "\n", "a")
+    print(line)
 
 
 def cmd_grover(args) -> dict:
@@ -183,7 +191,7 @@ def cmd_compile(args) -> dict:
     formula = cnfmod.parse_dimacs(text)
     started = time.perf_counter()
     circuit = compiler.compile_phase_oracle(formula)
-    Path(args.out).write_text(circuit.to_text())
+    _write(args.out, circuit.to_text(), "w")
     m = circuit.clause_count
     reference = m * circuit.counter_qubits
     report = _base_report("compile", _input_descriptor(path, text),
@@ -258,10 +266,10 @@ def main(argv=None) -> int:
             report = cmd_dist(args, "parallel")
         else:
             report = cmd_compile(args)
+        _emit(report, args)
     except DistGroverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    _emit(report, args)
     return 0
 
 

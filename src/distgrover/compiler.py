@@ -99,22 +99,6 @@ def counter_width(clause_count: int) -> int:
     return max(1, math.ceil(math.log2(clause_count + 1)))
 
 
-def build_add(modulus: int, width: int) -> np.ndarray:
-    """Counter permutation: cyclic +1 mod `modulus` on 0..modulus-1,
-    identity on the padding values up to 2^width - 1."""
-    if (1 << width) < modulus:
-        raise UsageError(f"width {width} too small for modulus {modulus}")
-    perm = np.arange(1 << width)
-    perm[:modulus] = (perm[:modulus] + 1) % modulus
-    return perm
-
-
-def build_sub(modulus: int, width: int) -> np.ndarray:
-    perm = np.arange(1 << width)
-    perm[:modulus] = (perm[:modulus] - 1) % modulus
-    return perm
-
-
 def build_uk(clause: tuple[int, ...], modulus: int, width: int,
              clause_index: int, subtract: bool = False) -> list:
     """Gate block incrementing (or decrementing) the counter exactly when

@@ -1,13 +1,17 @@
 """Amplitude estimation and quantum counting with exact output
 distributions.
 
-The estimation operator is Q = A U0_perp A^{-1} U_f with
+The estimation operator is Q = A U0_perp A^{-1} U_f with A = H^n and
 U0_perp = 2|0^n><0^n| - I, driven by the first stage of phase estimation:
 QFT on an m-qubit reading register, the controlled powers Lambda_{2^m}(Q),
-then the inverse QFT. The reading-register distribution is computed exactly
-by full simulation, so every confidence claim can be integrated rather than
-sampled. One estimation run charges 2^m - 1 quantum queries (each Q contains
-one oracle call; the controlled powers apply it 1 + 2 + ... + 2^{m-1} times).
+then the inverse QFT. Under the uniform start, Q keeps the plane spanned by
+the normalised good and bad states and rotates it by 2 theta, with
+sin^2 theta = t/2^n (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055). The
+reading-register distribution is therefore computed exactly on the m-qubit
+reading register tensored with that 2-D plane, so every confidence claim
+can be integrated rather than sampled. One estimation run charges 2^m - 1
+quantum queries (each Q contains one oracle call; the controlled powers
+apply it 1 + 2 + ... + 2^{m-1} times).
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ from .errors import UsageError
 from .ledger import QueryLedger
 from .oracle import BooleanFunction
 from .statevector import (MeasurementDistribution, StateVector,
-                          _hadamard_layers, apply_controlled_powers,
-                          apply_hadamard_all, check_capacity, init_basis,
-                          measurement_distribution, sample)
+                          apply_controlled_powers, apply_hadamard_all,
+                          check_capacity, measurement_distribution, sample)
 
-_QFT_CACHE: dict[tuple[int, bool], np.ndarray] = {}
+_QFT_CACHE: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -39,61 +42,60 @@ class CountEstimate:
 
 
 class QOperator:
-    """The estimation iterate for f with uniform state preparation."""
+    """The estimation iterate for f with uniform state preparation, in
+    (good, bad) coordinates of the normalised good and bad states.
+
+    The start vector is (sqrt(t/N), sqrt((N - t)/N)) and Q is the rotation
+    [[c, s], [-s, c]] with c = (N - 2t)/N and s = 2 sqrt(t(N - t))/N. Reading
+    t is simulator bookkeeping: no algorithm decision uses it, and the
+    queries are charged per run by `run_est_amp`."""
 
     def __init__(self, f: BooleanFunction):
-        self.f = f
-        self._signs = f.phase_signs()
+        big_n, t = 1 << f.arity, f.solution_count()
+        self.start = np.sqrt(np.array([t, big_n - t]) / big_n)
+        c = (big_n - 2 * t) / big_n
+        s = 2.0 * math.sqrt(t * (big_n - t)) / big_n
+        self.rotation = np.array([[c, s], [-s, c]])
 
     def apply_batch(self, mat: np.ndarray) -> None:
-        """Q in place on every row of a contiguous (rows, 2^n) block of
-        target branches: U_f, A^{-1}, U0_perp = 2|0><0| - I, A."""
-        rows, qubits = mat.shape[0], range(self.f.arity)
-        mat *= self._signs[None, :]
-        _hadamard_layers(mat, rows, qubits)
-        mat *= -1.0
-        mat[:, 0] *= -1.0
-        _hadamard_layers(mat, rows, qubits)
+        """Q in place on every row of a contiguous (rows, 2) block of
+        target branches."""
+        mat[:] = mat @ self.rotation.T
 
 
-def _qft_matrix(width: int, inverse: bool) -> np.ndarray:
-    key = (width, inverse)
-    if key not in _QFT_CACHE:
+def _qft_matrix(width: int) -> np.ndarray:
+    if width not in _QFT_CACHE:
         dim = 1 << width
-        j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-        sign = -1.0 if inverse else 1.0
-        _QFT_CACHE[key] = np.exp(sign * 2j * np.pi * j * k / dim) / \
-            math.sqrt(dim)
-    return _QFT_CACHE[key]
+        jk = np.outer(np.arange(dim), np.arange(dim))
+        _QFT_CACHE[width] = np.exp(-2j * np.pi * jk / dim) / math.sqrt(dim)
+    return _QFT_CACHE[width]
 
 
-def apply_qft(state: StateVector, register: range,
-              inverse: bool = False) -> StateVector:
-    """Exact QFT_{2^m} (dense matrix) on a contiguous register."""
-    width = len(register)
-    matrix = _qft_matrix(width, inverse)
-    before = 1 << register.start
-    after = 1 << (state.qubit_count - register.stop)
-    arr = state.amps.reshape(before, 1 << width, after)
-    state.amps = np.einsum("yk,akb->ayb", matrix, arr).reshape(-1)
+def apply_qft(state: StateVector, width: int) -> StateVector:
+    """Exact inverse QFT_{2^width} (dense matrix) on the leading `width`
+    qubits."""
+    arr = state.amps.reshape(1 << width, -1)
+    state.amps = (_qft_matrix(width) @ arr).reshape(-1)
     return state
 
 
 def est_amp_distribution(f: BooleanFunction,
                          m: int) -> MeasurementDistribution:
     """Exact distribution of the reading-register outcome y, with the target
-    register prepared in the uniform superposition."""
-    n = f.arity
+    prepared in the uniform superposition."""
     if m < 1:
         raise UsageError("precision qubits m must be >= 1")
-    check_capacity(m + n)
-    state = init_basis(m + n, 0)
-    target = range(m, m + n)
-    apply_hadamard_all(state, target)
+    # the inverse QFT matrix holds 4^m entries, which subsumes the
+    # 2^(m+1) amplitudes of the state
+    check_capacity(2 * m)
+    q = QOperator(f)
+    state = StateVector(m + 1, np.zeros(2 << m, dtype=np.complex128))
+    state.amps[:2] = q.start
     control = range(0, m)
-    apply_qft(state, control)
-    apply_controlled_powers(state, control, QOperator(f).apply_batch)
-    apply_qft(state, control, inverse=True)
+    # the forward QFT of |0> on the reading register is H^m |0>
+    apply_hadamard_all(state, control)
+    apply_controlled_powers(state, control, q.apply_batch)
+    apply_qft(state, m)
     return measurement_distribution(state, control)
 
 

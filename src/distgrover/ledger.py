@@ -30,12 +30,6 @@ class QueryLedger:
     def total(self) -> int:
         return self.quantum_queries + self.classical_queries
 
-    def merge(self, other: "QueryLedger") -> None:
-        self.quantum_queries += other.quantum_queries
-        self.classical_queries += other.classical_queries
-        for phase, count in other.breakdown.items():
-            self.breakdown[phase] = self.breakdown.get(phase, 0) + count
-
     def snapshot(self) -> dict:
         return {
             "quantum_queries": self.quantum_queries,

@@ -116,21 +116,15 @@ def init_basis(qubit_count: int, basis_index: int) -> StateVector:
     return StateVector(qubit_count, amps)
 
 
-def _hadamard_layers(amps: np.ndarray, rows: int, qubits) -> None:
-    """H on each listed qubit of every row of a contiguous (rows, 2^q)
-    block, in place."""
-    for j in qubits:
-        m = amps.reshape(rows << j, 2, -1)
+def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
+    """Walsh-Hadamard transform on every qubit of `register` (in place)."""
+    _check_register(state.qubit_count, register)
+    for j in register:
+        m = state.amps.reshape(1 << j, 2, -1)
         top = m[:, 0, :].copy()
         bot = m[:, 1, :]
         m[:, 0, :] = (top + bot) * _SQRT_HALF
         m[:, 1, :] = (top - bot) * _SQRT_HALF
-
-
-def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
-    """Walsh-Hadamard transform on every qubit of `register` (in place)."""
-    _check_register(state.qubit_count, register)
-    _hadamard_layers(state.amps, 1, register)
     assert state.amps.shape == (1 << state.qubit_count,)
     return _check_norm(state)
 

@@ -1,0 +1,95 @@
+"""Dense reference for the counting engine.
+
+`distgrover.estimation` runs phase estimation on the reading register
+tensored with the 2-D plane of the normalised good and bad states. This
+module keeps the full-state engine it is checked against: the estimation
+iterate Q = A U0_perp A^{-1} U_f applied to every target branch of a
+2^(m+n) state, the dense forward and inverse QFT on a contiguous register,
+and the exact reading-register distribution. Kept for n <= 10.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from distgrover import BooleanFunction, UsageError
+from distgrover.statevector import (MeasurementDistribution, StateVector,
+                                    apply_controlled_powers,
+                                    apply_hadamard_all, check_capacity,
+                                    init_basis, measurement_distribution)
+
+_SQRT_HALF = math.sqrt(0.5)
+_QFT_CACHE: dict[tuple[int, bool], np.ndarray] = {}
+
+
+def _hadamard_layers(amps: np.ndarray, rows: int, qubits) -> None:
+    """H on each listed qubit of every row of a contiguous (rows, 2^q)
+    block, in place."""
+    for j in qubits:
+        m = amps.reshape(rows << j, 2, -1)
+        top = m[:, 0, :].copy()
+        bot = m[:, 1, :]
+        m[:, 0, :] = (top + bot) * _SQRT_HALF
+        m[:, 1, :] = (top - bot) * _SQRT_HALF
+
+
+class DenseQOperator:
+    """The estimation iterate for f with uniform state preparation, on
+    full 2^n-amplitude target branches."""
+
+    def __init__(self, f: BooleanFunction):
+        self.f = f
+        self._signs = f.phase_signs()
+
+    def apply_batch(self, mat: np.ndarray) -> None:
+        """Q in place on every row of a contiguous (rows, 2^n) block of
+        target branches: U_f, A^{-1}, U0_perp = 2|0><0| - I, A."""
+        rows, qubits = mat.shape[0], range(self.f.arity)
+        mat *= self._signs[None, :]
+        _hadamard_layers(mat, rows, qubits)
+        mat *= -1.0
+        mat[:, 0] *= -1.0
+        _hadamard_layers(mat, rows, qubits)
+
+
+def _qft_matrix(width: int, inverse: bool) -> np.ndarray:
+    key = (width, inverse)
+    if key not in _QFT_CACHE:
+        dim = 1 << width
+        j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+        sign = -1.0 if inverse else 1.0
+        _QFT_CACHE[key] = np.exp(sign * 2j * np.pi * j * k / dim) / \
+            math.sqrt(dim)
+    return _QFT_CACHE[key]
+
+
+def apply_qft(state: StateVector, register: range,
+              inverse: bool = False) -> StateVector:
+    """Exact QFT_{2^m} (dense matrix) on a contiguous register."""
+    width = len(register)
+    matrix = _qft_matrix(width, inverse)
+    before = 1 << register.start
+    after = 1 << (state.qubit_count - register.stop)
+    arr = state.amps.reshape(before, 1 << width, after)
+    state.amps = np.einsum("yk,akb->ayb", matrix, arr).reshape(-1)
+    return state
+
+
+def est_amp_distribution(f: BooleanFunction,
+                         m: int) -> MeasurementDistribution:
+    """Exact distribution of the reading-register outcome y, with the target
+    register prepared in the uniform superposition."""
+    n = f.arity
+    if m < 1:
+        raise UsageError("precision qubits m must be >= 1")
+    check_capacity(m + n)
+    state = init_basis(m + n, 0)
+    target = range(m, m + n)
+    apply_hadamard_all(state, target)
+    control = range(0, m)
+    apply_qft(state, control)
+    apply_controlled_powers(state, control, DenseQOperator(f).apply_batch)
+    apply_qft(state, control, inverse=True)
+    return measurement_distribution(state, control)

@@ -208,3 +208,30 @@ def test_json_file_append(tmp_path, capsys):
     assert len(lines) == 2
     assert {json.loads(line)["parameters"]["seed"]
             for line in lines} == {1, 2}
+
+
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
+    path = write_table(tmp_path, 3, [2])
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["grover", "--input", str(path), "--a", "1",
+                 "--json", str(missing / "x.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""        # no report when --json cannot be written
+    assert captured.err.startswith("error: cannot write")
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    assert main(["compile", "--input", str(cnf),
+                 "--out", str(missing / "x.ir")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+def test_count_capacity_is_the_reading_register(tmp_path, capsys,
+                                                monkeypatch):
+    # the reading register's 4^m QFT matrix is budgeted, not 2^(m+n)
+    monkeypatch.setenv("DISTGROVER_MAX_QUBITS", "8")
+    small = write_table(tmp_path, 2, [1], name="small.table")
+    assert main(["count", "--input", str(small), "--grid", "32"]) == 3
+    assert "error:" in capsys.readouterr().err
+    wide = write_table(tmp_path, 8, [5, 77], name="wide.table")
+    code, report = run_cli(capsys, ["count", "--input", str(wide)])
+    assert code == 0 and report["parameters"]["grid"] == 16

@@ -21,8 +21,6 @@ from distgrover.compiler import (
     MultiControlledAdd,
     PauliX,
     ZeroPhaseOnCounter,
-    build_add,
-    build_sub,
     build_uk,
     circuit_diagonal,
     counter_trace,
@@ -128,15 +126,6 @@ def test_restrict_cnf_cases():
     sub = restrict_cnf(formula, "0")
     assert sub.clauses == [(1,)]
     assert sub.variable_count == 2
-
-
-def test_build_add_permutation():
-    assert list(build_add(3, 2)) == [1, 2, 0, 3]
-    assert list(build_sub(3, 2)) == [2, 0, 1, 3]
-    for modulus, width in [(2, 1), (3, 2), (5, 3), (8, 3)]:
-        add, sub = build_add(modulus, width), build_sub(modulus, width)
-        assert list(add[sub]) == list(range(1 << width))
-        assert list(sub[add]) == list(range(1 << width))
 
 
 def test_build_uk_flips_and_controls():

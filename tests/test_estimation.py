@@ -12,11 +12,12 @@ from distgrover.statevector import StateVector
 
 from conftest import (closed_form_count_distribution, first_k_marked,
                       marked_function)
+import reference
 
 
 def _apply_q(f, state):
-    # the production Q, on the state as a one-row block
-    QOperator(f).apply_batch(state.amps.reshape(1, -1))
+    # the dense reference Q, on the state as a one-row block
+    reference.DenseQOperator(f).apply_batch(state.amps.reshape(1, -1))
     return state
 
 
@@ -83,8 +84,43 @@ def test_q_batch_matches_single():
         apply_grover_iterate(f, StateVector(4, row.copy())).amps
         for row in mat])
     batched = mat.copy()
-    QOperator(f).apply_batch(batched)
+    reference.DenseQOperator(f).apply_batch(batched)
     assert np.abs(singles - batched).max() < 1e-12
+
+
+def test_plane_q_is_dense_q_on_good_bad_plane():
+    # rows (c_good, c_bad) embed as c_good |good> + c_bad |bad> with the
+    # normalised good and bad states; dense Q keeps that plane
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        n = int(rng.integers(1, 8))
+        t = int(rng.integers(1, 1 << n))
+        f = marked_function(n, rng.choice(1 << n, size=t, replace=False))
+        good = f.truth_values() == 1
+        basis = np.stack([good / math.sqrt(t),
+                          ~good / math.sqrt((1 << n) - t)])
+        plane = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        dense = plane @ basis
+        reference.DenseQOperator(f).apply_batch(dense)
+        QOperator(f).apply_batch(plane)
+        assert np.abs(dense @ basis.T - plane).max() < 1e-12
+        assert np.abs(plane @ basis - dense).max() < 1e-12
+
+
+def test_plane_distribution_matches_dense_reference():
+    rng = np.random.default_rng(5)
+    cases = [(n, m, t) for n, m in [(1, 1), (3, 6), (10, 6)]
+             for t in (0, 1, (1 << n) - 1, 1 << n)]
+    cases += [(10, 6, None), (10, 1, None)]
+    cases += [(int(rng.integers(1, 11)), int(rng.integers(1, 7)), None)
+              for _ in range(30)]
+    for n, m, t in cases:
+        if t is None:
+            t = int(rng.integers(0, (1 << n) + 1))
+        f = marked_function(n, rng.choice(1 << n, size=t, replace=False))
+        plane = est_amp_distribution(f, m).probabilities
+        dense = reference.est_amp_distribution(f, m).probabilities
+        assert np.abs(plane - dense).max() <= 1e-12, (n, m, t)
 
 
 def test_certainty_edges():

@@ -1,10 +1,13 @@
-"""Source hygiene: every imported name in src/ and tests/ is used.
+"""Source hygiene: every imported name in src/ and tests/ is used, and
+every module-level private name in src/distgrover/ is referenced.
 
-A stdlib `ast` scan standing in for a linter's unused-import rule. Package
-`__init__.py` files are skipped (their imports are re-exports), as is
-`from __future__ import annotations`. A name counts as used when it appears
-as an identifier anywhere in the module, including inside string
-annotations.
+Stdlib `ast` scans standing in for a linter's unused-import and dead-code
+rules. For imports, package `__init__.py` files are skipped (their imports
+are re-exports), as is `from __future__ import annotations`. A name counts
+as used when it appears as an identifier anywhere in the module, including
+inside string annotations. A private helper (a module-level `_name` bound
+by def, class or assignment; dunders excluded) counts as referenced when
+any module in src/ loads it, reads it as an attribute or imports it.
 """
 
 from __future__ import annotations
@@ -62,3 +65,59 @@ def test_scan_flags_an_unused_import():
     tree = ast.parse("import json\nimport math\nfrom a import Path\n"
                      "x: 'Path' = math.pi\n")
     assert _unused_imports(tree) == [(1, "json")]
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and \
+                isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def _references(tree: ast.Module) -> set[str]:
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def _dead_private_helpers(modules: dict) -> list[str]:
+    refs = set().union(*map(_references, modules.values()))
+    return [f"{path}:{line}: {name}"
+            for path, tree in modules.items()
+            for line, name in _private_definitions(tree)
+            if name not in refs]
+
+
+def test_no_dead_private_helpers():
+    modules = {str(path.relative_to(ROOT)): ast.parse(path.read_text())
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert modules
+    problems = _dead_private_helpers(modules)
+    assert not problems, "unreferenced private helpers:\n" + \
+        "\n".join(problems)
+
+
+def test_scan_flags_a_dead_private_helper():
+    modules = {
+        "a.py": ast.parse("_used = 1\n_dead: int = 2\n"
+                          "def _helper():\n    return _used\n"
+                          "class _Gone:\n    pass\n__all__ = []\n"),
+        "b.py": ast.parse("from a import _helper\n"),
+    }
+    assert _dead_private_helpers(modules) == ["a.py:2: _dead",
+                                              "a.py:5: _Gone"]

@@ -167,11 +167,11 @@ def test_truth_table_file_errors(tmp_path):
         BooleanFunction.from_file(path)
 
 
-def test_ledger_merge_and_breakdown():
-    a, b = QueryLedger(), QueryLedger()
+def test_ledger_totals_and_breakdown():
+    a = QueryLedger()
     a.add_quantum(3, "oracle")
-    b.add_quantum(2, "counting")
-    b.add_classical(1)
-    a.merge(b)
+    a.add_quantum(2, "counting")
+    a.add_classical(1)
     assert a.quantum_queries == 5 and a.classical_queries == 1
     assert a.total == sum(a.breakdown.values()) == 6
+    assert a.breakdown == {"oracle": 3, "counting": 2, "verify": 1}
