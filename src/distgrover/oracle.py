@@ -21,7 +21,8 @@ import numpy as np
 from . import cnf as cnfmod
 from .errors import CapacityError, ParseError, UsageError
 from .ledger import QueryLedger
-from .statevector import (StateVector, apply_diagonal_phase, check_capacity,
+from .statevector import (StateVector, _check_norm, _check_register,
+                          _split_shape, apply_diagonal_phase, check_capacity,
                           max_qubits)
 
 
@@ -38,6 +39,12 @@ def _as_index(x, arity: int) -> int:
     for b in bits:
         index = (index << 1) | (b & 1)
     return index
+
+
+def _digits(text: str) -> np.ndarray:
+    """One uint8 per character: 0 for "0", 1 for "1", and a value above 1
+    for any other character (non-ASCII ones included)."""
+    return np.frombuffer(text.encode("ascii", "replace"), np.uint8) - ord("0")
 
 
 class BooleanFunction:
@@ -63,9 +70,7 @@ class BooleanFunction:
 
     @classmethod
     def from_truth_table(cls, bits, label: str = "f") -> "BooleanFunction":
-        if isinstance(bits, str):
-            bits = [int(b) if b in "01" else -1 for b in bits]
-        raw = np.asarray(bits)
+        raw = _digits(bits) if isinstance(bits, str) else np.asarray(bits)
         if not ((raw == 0) | (raw == 1)).all():
             raise UsageError("truth table entries must be 0 or 1")
         table = raw.astype(np.uint8)
@@ -108,10 +113,11 @@ class BooleanFunction:
         if n < 1:
             raise ParseError(f"arity {n} must be >= 1", arity_line)
         check_capacity(n)
-        if len(table) != 1 << n or set(table) - {"0", "1"}:
+        bits = _digits(table)
+        if bits.shape[0] != 1 << n or (bits > 1).any():
             raise ParseError(f"table must be 2^{n} characters of 0/1",
                              table_line)
-        return cls.from_truth_table(table, label)
+        return cls.from_truth_table(bits, label)
 
     @classmethod
     def from_file(cls, path) -> "BooleanFunction":
@@ -182,8 +188,10 @@ class BooleanFunction:
 
 
 def apply_zero_reflection(state: StateVector, register: range) -> StateVector:
-    """Z_0 = I - 2|0><0| on `register`: sign flip only at the all-zero value."""
-    signs = np.ones(1 << len(register))
-    signs[0] = -1.0
-    return apply_diagonal_phase(state, register, signs)
+    """Z_0 = I - 2|0><0| on `register`: sign flip only at the all-zero value,
+    negating just the amplitudes whose register bits are all zero."""
+    _check_register(state.qubit_count, register)
+    before, mid, after = _split_shape(state.qubit_count, register)
+    state.amps.reshape(before, mid, after)[:, 0, :] *= -1.0
+    return _check_norm(state)
 

@@ -1,4 +1,8 @@
-"""Dense reference for the counting engine.
+"""Dense references: the butterfly Hadamard kernel and the counting engine.
+
+`reference_hadamard_all` is the per-qubit butterfly Walsh-Hadamard transform
+that `distgrover.statevector.apply_hadamard_all` replaced with in-place
+radix-4 butterflies; the radix-4 kernel is checked against it.
 
 `distgrover.estimation` runs phase estimation on the reading register
 tensored with the 2-D plane of the normalised good and bad states. This
@@ -33,6 +37,16 @@ def _hadamard_layers(amps: np.ndarray, rows: int, qubits) -> None:
         bot = m[:, 1, :]
         m[:, 0, :] = (top + bot) * _SQRT_HALF
         m[:, 1, :] = (top - bot) * _SQRT_HALF
+
+
+def reference_hadamard_all(state: StateVector,
+                           register: range) -> StateVector:
+    """Walsh-Hadamard transform on every qubit of `register` (in place) as
+    one strided butterfly pass per qubit: the kernel that
+    `statevector.apply_hadamard_all`'s radix-4 butterflies are checked
+    against."""
+    _hadamard_layers(state.amps, 1, register)
+    return state
 
 
 class DenseQOperator:

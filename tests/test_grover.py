@@ -1,15 +1,22 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distgrover
 from distgrover import (BooleanFunction, QueryLedger, UsageError,
                         apply_grover_iterate, apply_hadamard_all,
-                        grover_iterations, init_basis,
+                        grover, grover_iterations, init_basis,
                         measurement_distribution, run_grover,
                         success_probability)
 
 from conftest import first_k_marked, marked_function
+from reference import reference_hadamard_all
 
 
 def solution_mass(f, iterations):
@@ -138,3 +145,79 @@ def test_run_grover_deterministic():
     a = run_grover(f, 2, 99, QueryLedger())
     b = run_grover(f, 2, 99, QueryLedger())
     assert a == b
+
+
+def _run_grover_distribution(monkeypatch, f, a, hadamard):
+    # the measurement distribution run_grover samples from, with `hadamard`
+    # as its Walsh-Hadamard kernel
+    captured = []
+
+    def measure(state, register):
+        distribution = measurement_distribution(state, register)
+        captured.append(distribution.probabilities)
+        return distribution
+
+    monkeypatch.setattr(grover, "measurement_distribution", measure)
+    monkeypatch.setattr(grover, "apply_hadamard_all", hadamard)
+    run_grover(f, a, 0, QueryLedger())
+    (probabilities,) = captured
+    return probabilities
+
+
+def test_run_grover_distribution_matches_butterfly_reference(monkeypatch):
+    rng = np.random.default_rng(23)
+    for n in range(2, 15):
+        for a in range(1, 5):
+            f = marked_function(n, rng.choice(1 << n, size=a, replace=False))
+            blocked = _run_grover_distribution(monkeypatch, f, a,
+                                               apply_hadamard_all)
+            butterfly = _run_grover_distribution(monkeypatch, f, a,
+                                                 reference_hadamard_all)
+            assert np.abs(blocked - butterfly).max() <= 1e-12
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+from distgrover import (BooleanFunction, apply_grover_iterate,
+                        apply_hadamard_all, init_basis)
+from distgrover.cli import main
+path = sys.argv[1]
+f = BooleanFunction.from_file(path)
+state = apply_hadamard_all(init_basis(f.arity, 0), range(f.arity))
+for _ in range(20):
+    apply_grover_iterate(f, state)
+print(hashlib.sha256(state.amps.tobytes()).hexdigest())
+main(["grover", "--input", path, "--a", "64", "--seed", "11"])
+"""
+
+
+def _run_with_blas_threads(threads, table_path):
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    src = str(Path(distgrover.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT,
+                           str(table_path)], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    digest, report = done.stdout.strip().split("\n", 1)
+    report = json.loads(report)
+    report.pop("duration_seconds")
+    return digest, report
+
+
+def test_results_do_not_depend_on_blas_threads(tmp_path):
+    # a run depends only on its seed: the same amplitudes, to the bit, and
+    # the same report with one BLAS thread as with two. n = 16 keeps the
+    # state large enough that OpenBLAS would split a product in the iterate
+    # over two threads; at n = 12 it would not.
+    n = 16
+    path = tmp_path / "f.table"
+    table = marked_function(n, [5, 30001]).truth_values()
+    path.write_text(f"{n}\n" + "".join(map(str, table)) + "\n")
+    one = _run_with_blas_threads(1, path)
+    two = _run_with_blas_threads(2, path)
+    assert len(one[0]) == 64
+    assert one == two

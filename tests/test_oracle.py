@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from distgrover import (BooleanFunction, ParseError, QueryLedger, UsageError,
-                        apply_hadamard_all, apply_zero_reflection, init_basis)
+                        apply_diagonal_phase, apply_hadamard_all,
+                        apply_zero_reflection, init_basis)
 from distgrover.cnf import CnfFormula
+from distgrover.statevector import StateVector
 
 from conftest import marked_function
 
@@ -105,6 +107,25 @@ def test_zero_reflection():
     assert np.abs(s.amps - before).max() < 1e-12
 
 
+def test_zero_reflection_matches_sign_array():
+    # negating the all-zero slice is exact, so it equals the diagonal phase
+    # with the sign array -1 at register value 0 and +1 elsewhere
+    rng = np.random.default_rng(19)
+    for q in range(1, 7):
+        for start in range(q):
+            for stop in range(start + 1, q + 1):
+                register = range(start, stop)
+                amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+                amps /= np.linalg.norm(amps)
+                signs = np.ones(1 << len(register))
+                signs[0] = -1.0
+                s = apply_zero_reflection(StateVector(q, amps.copy()),
+                                          register)
+                expected = apply_diagonal_phase(StateVector(q, amps.copy()),
+                                                register, signs)
+                assert np.array_equal(s.amps, expected.amps)
+
+
 def test_restrict_examples():
     rng = np.random.default_rng(3)
     table = rng.integers(0, 2, size=8).astype(np.uint8)
@@ -165,6 +186,16 @@ def test_truth_table_file_errors(tmp_path):
     path.write_text("2\n001\n")
     with pytest.raises(ParseError, match="line 2"):
         BooleanFunction.from_file(path)
+
+
+def test_non_ascii_table_characters_are_table_errors():
+    for table in ("0\u00e910", "01\u20ac0", "\u00e9\u00e9\u00e9\u00e9"):
+        with pytest.raises(UsageError):
+            BooleanFunction.from_truth_table(table)
+        with pytest.raises(ParseError, match="line 2"):
+            BooleanFunction.from_table_text(f"2\n{table}\n")
+    assert BooleanFunction.from_table_text(
+        "2\n0110\n").truth_values().tolist() == [0, 1, 1, 0]
 
 
 def test_ledger_totals_and_breakdown():

@@ -9,6 +9,8 @@ from distgrover import (CapacityError, MeasurementDistribution, UsageError,
                         measurement_distribution, sample)
 from distgrover.statevector import StateVector
 
+from reference import reference_hadamard_all
+
 
 def test_init_basis_examples():
     assert np.allclose(init_basis(2, 0).amps, [1, 0, 0, 0])
@@ -59,6 +61,23 @@ def test_hadamard_involution_random():
         apply_hadamard_all(s, range(0, q))
         apply_hadamard_all(s, range(0, q))
         assert np.abs(s.amps - amps).max() < 1e-9
+
+
+def test_hadamard_matches_butterfly_reference():
+    # every contiguous register of up to 9 qubits: odd widths (a trailing
+    # radix-2 butterfly), registers not starting at qubit 0, and the
+    # estimation shape (a 2-amplitude trailing target after the register)
+    rng = np.random.default_rng(17)
+    for q in range(1, 10):
+        for start in range(q):
+            for stop in range(start + 1, q + 1):
+                amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+                amps /= np.linalg.norm(amps)
+                s = StateVector(q, amps.copy())
+                ref = StateVector(q, amps.copy())
+                apply_hadamard_all(s, range(start, stop))
+                reference_hadamard_all(ref, range(start, stop))
+                assert np.abs(s.amps - ref.amps).max() <= 1e-12
 
 
 def test_diagonal_phase_examples():
