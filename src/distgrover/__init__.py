@@ -7,8 +7,7 @@ from .compiler import (CircuitIR, build_uk, compile_phase_oracle, gate_count,
                        oracle_from_formula, simulate_oracle_circuit)
 from .distributed import (CandidateSet, DistOutcome, build_candidate_set,
                           candidate_window, decompose, run_parallel,
-                          run_serial, sweep_candidates, threshold_t_a,
-                          worst_case_query_bound)
+                          run_serial, threshold_t_a, worst_case_query_bound)
 from .errors import (CapacityError, DistGroverError, InvariantError,
                      NotCompilableError, ParseError, UsageError)
 from .estimation import (CountEstimate, QOperator, relaxed_error_bound,

@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import cnf as cnfmod
 from . import compiler, distributed, estimation, grover
-from .errors import DistGroverError, ParseError, UsageError
+from .errors import DistGroverError, UsageError
 from .ledger import QueryLedger
-from .oracle import BooleanFunction
+from .oracle import BooleanFunction, read_text
 from .statevector import check_capacity
 
 REPORT_SCHEMA = "distgrover-report/1"
@@ -37,34 +37,17 @@ def _input_descriptor(path: Path, text: str) -> dict:
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def _read_input(args) -> tuple[Path, str]:
-    """The input file's text, decoded from its bytes as they are, so the
-    report's sha256 is the digest of the file itself."""
-    path = Path(args.input)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-    try:
-        return path, data.decode()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
-
-
 def _load_function(args) -> tuple[BooleanFunction, dict,
                                   cnfmod.CnfFormula | None]:
-    path, text = _read_input(args)
+    path = Path(args.input)
+    text = read_text(path)
     fmt = args.format
     if fmt == "auto":
         fmt = "dimacs" if path.suffix in (".cnf", ".dimacs") else "table"
     if fmt == "dimacs":
         formula = cnfmod.parse_dimacs(text)
         check_capacity(formula.variable_count)
-        if formula.constant_false:
-            f = BooleanFunction.constant(formula.variable_count, 0)
-        elif formula.is_constant_true:
-            f = BooleanFunction.constant(formula.variable_count, 1)
-        elif getattr(args, "oracle", "table") == "compiled":
+        if getattr(args, "oracle", "table") == "compiled":
             f = compiler.oracle_from_formula(formula, label=str(path))
         else:
             f = BooleanFunction.from_cnf(formula, label=str(path))
@@ -145,8 +128,6 @@ def cmd_count(args) -> dict:
 def cmd_dist(args, mode: str) -> dict:
     f, descriptor, _ = _load_function(args)
     n = f.arity
-    if args.k >= n:
-        raise UsageError(f"--k must be < n={n}")
     started = time.perf_counter()
     if mode == "serial":
         outcome = distributed.run_serial(f, args.k, args.a, args.seed)
@@ -187,7 +168,8 @@ def cmd_dist(args, mode: str) -> dict:
 
 
 def cmd_compile(args) -> dict:
-    path, text = _read_input(args)
+    path = Path(args.input)
+    text = read_text(path)
     formula = cnfmod.parse_dimacs(text)
     started = time.perf_counter()
     circuit = compiler.compile_phase_oracle(formula)

@@ -222,8 +222,7 @@ def oracle_from_formula(formula: cnfmod.CnfFormula,
     """BooleanFunction whose truth table is the diagonal of the formula's
     compiled circuit, propagated once on first use. Its restrictions are
     compiled from the restricted formula the same way."""
-    return BooleanFunction(formula.variable_count, _compiled_truth_values,
-                           label, formula)
+    return BooleanFunction.from_cnf(formula, label, _compiled_truth_values)
 
 
 def gate_count(circuit: CircuitIR, elementary: bool = False) -> int:

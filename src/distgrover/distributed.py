@@ -6,9 +6,14 @@ truth-table slice table[i :: 2^k]. Each machine first runs
 quantum counting to build a candidate window for its solution count, then
 sweeps the window with Grover runs, verifying every measurement classically.
 
-Seeding: machine i derives its seed from the master seed with a fixed mixing
-function; stage 0 is counting, stage 1+j is sweep attempt j. Identical
-(f, k, a, seed) inputs therefore give identical outcomes in both modes.
+Both modes plan each machine with `_plan` and sweep with `_sweep`; serial
+sweeps only the first machine with a non-empty plan, parallel sweeps all.
+
+Seeding: machine i counts with derive(derive(seed, i), 0), and its sweep
+attempt j draws with derive(derive(derive(seed, i), 1), j). So for a >= 2
+every machine serial visits has the same candidate set as in parallel, and
+on the machine serial sweeps, its parallel attempts are a prefix of its
+serial ones. (At a = 1 parallel skips counting and tries b = 1 only.)
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .estimation import counting_grid_for, run_count
-from .grover import GroverOutcome, grover_iterations, run_grover
+from .grover import grover_iterations, run_grover
 from .ledger import QueryLedger
 from .oracle import BooleanFunction
 from .seeding import derive
@@ -26,7 +31,6 @@ from .seeding import derive
 
 @dataclass(frozen=True)
 class CandidateSet:
-    machine_index: int
     estimate: int
     t_a: int
     candidates: tuple[int, ...]
@@ -91,8 +95,7 @@ def candidate_window(estimate: int, t_a: int, sub_arity: int) -> tuple[int, ...]
 
 
 def build_candidate_set(f_i: BooleanFunction, a: int, seed: int,
-                        ledger: QueryLedger,
-                        machine_index: int = 0) -> CandidateSet:
+                        ledger: QueryLedger) -> CandidateSet:
     """Counting run plus window construction for one machine.
 
     A zero estimate is certain when the subfunction is constant zero; only
@@ -106,25 +109,9 @@ def build_candidate_set(f_i: BooleanFunction, a: int, seed: int,
     estimate = run_count(f_i, grid, seed, ledger).t_prime_rounded
     t_a = threshold_t_a(a)
     if estimate == 0 and f_i.solution_count() == 0:
-        return CandidateSet(machine_index, estimate, t_a, (), True)
-    return CandidateSet(machine_index, estimate, t_a,
+        return CandidateSet(estimate, t_a, (), True)
+    return CandidateSet(estimate, t_a,
                         candidate_window(estimate, t_a, sub_arity), False)
-
-
-def sweep_candidates(f_i: BooleanFunction, candidates, seed: int,
-                     ledger: QueryLedger,
-                     record: MachineRecord | None = None
-                     ) -> GroverOutcome | None:
-    """Try each candidate count, largest first (fewest iterations first),
-    one Grover run per candidate; stop at the first verified solution."""
-    for attempt, b in enumerate(sorted(candidates, reverse=True)):
-        outcome = run_grover(f_i, b, derive(seed, attempt), ledger)
-        if record is not None:
-            record.attempts.append((b, outcome.measured_x,
-                                    outcome.is_solution))
-        if outcome.is_solution:
-            return outcome
-    return None
 
 
 def _finalize(status: str, solution: int | None, winner: int | None,
@@ -138,82 +125,72 @@ def _finalize(status: str, solution: int | None, winner: int | None,
         parallel_depth=depth, serial_total=totals_q + totals_c)
 
 
-def run_serial(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
-    """Visit machines in ascending order; sweep the first machine whose
-    candidate set is non-empty and stop there, found or not."""
+def _split(f: BooleanFunction, k: int, a: int) -> list[BooleanFunction]:
+    """The subfunctions of `decompose`, after checking k and a."""
     _check_split(f.arity, k)
     if a < 1:
         raise UsageError("a must be >= 1")
-    subfunctions = decompose(f, k)
-    machines: list[MachineRecord] = []
-
-    for i, f_i in enumerate(subfunctions):
-        record = MachineRecord(index=i, candidate_set=None)
-        machines.append(record)
-        machine_seed = derive(seed, i)
-        cs = build_candidate_set(f_i, a, derive(machine_seed, 0),
-                                 record.ledger, machine_index=i)
-        record.candidate_set = cs
-        if not cs.candidates:
-            continue
-        outcome = sweep_candidates(f_i, cs.candidates, derive(machine_seed, 1),
-                                   record.ledger, record)
-        if outcome is not None:
-            solution = (outcome.measured_x << k) | i
-            return _finalize("found", solution, i, machines)
-        # first swept machine exhausted its window: no fallback to later ones
-        return _finalize("not_found", None, None, machines)
-    return _finalize("not_found", None, None, machines)
+    return decompose(f, k)
 
 
-def run_parallel(f: BooleanFunction, k: int, a: int, seed: int,
-                 fast_a1: bool | None = None) -> DistOutcome:
-    """All machines count and sweep concurrently (simulated step-locked);
-    the first verified solution wins, lowest machine index breaking ties
-    within a sweep step. With a known unique solution (a = 1) the counting
-    stage is skipped and every machine runs a single Grover shot."""
-    _check_split(f.arity, k)
-    if a < 1:
-        raise UsageError("a must be >= 1")
-    if fast_a1 is None:
-        fast_a1 = a == 1
-    subfunctions = decompose(f, k)
-    machines = [MachineRecord(index=i, candidate_set=None)
-                for i in range(1 << k)]
+def _plan(f_i: BooleanFunction, a: int, seed: int,
+          record: MachineRecord) -> list[int]:
+    """Machine record.index's counting stage: its candidate counts, largest
+    first (fewest iterations first)."""
+    record.candidate_set = build_candidate_set(
+        f_i, a, derive(derive(seed, record.index), 0), record.ledger)
+    return sorted(record.candidate_set.candidates, reverse=True)
 
-    sweeps: dict[int, tuple[BooleanFunction, list[int], int]] = {}
-    for i, f_i in enumerate(subfunctions):
-        machine_seed = derive(seed, i)
-        if fast_a1:
-            order = [1]
-        else:
-            cs = build_candidate_set(f_i, a, derive(machine_seed, 0),
-                                     machines[i].ledger, machine_index=i)
-            machines[i].candidate_set = cs
-            order = sorted(cs.candidates, reverse=True)
-        if order:
-            sweeps[i] = (f_i, order, derive(machine_seed, 1))
 
-    step = 0
-    while sweeps:
+def _sweep(subfunctions: list[BooleanFunction], k: int,
+           orders: dict[int, list[int]], seed: int,
+           machines: list[MachineRecord]) -> DistOutcome:
+    """Step-locked sweep of the machines in `orders`: at step j, every
+    machine i with a j-th candidate b runs one verified Grover shot for b,
+    seeded derive(derive(derive(seed, i), 1), j). The first step with a
+    verified solution ends the sweep, the lowest machine index winning."""
+    for step in range(max(map(len, orders.values()), default=0)):
         finishers: list[tuple[int, int]] = []
-        for i in sorted(sweeps):
-            f_i, order, sweep_seed = sweeps[i]
+        for i, order in orders.items():
             if step >= len(order):
                 continue
-            b = order[step]
-            outcome = run_grover(f_i, b, derive(sweep_seed, step),
+            outcome = run_grover(subfunctions[i], order[step],
+                                 derive(derive(derive(seed, i), 1), step),
                                  machines[i].ledger)
-            machines[i].attempts.append((b, outcome.measured_x,
+            machines[i].attempts.append((order[step], outcome.measured_x,
                                          outcome.is_solution))
             if outcome.is_solution:
                 finishers.append((i, outcome.measured_x))
         if finishers:
             winner, x = min(finishers)
             return _finalize("found", (x << k) | winner, winner, machines)
-        sweeps = {i: v for i, v in sweeps.items() if step + 1 < len(v[1])}
-        step += 1
     return _finalize("not_found", None, None, machines)
+
+
+def run_serial(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
+    """Visit machines in ascending order; sweep the first machine whose
+    candidate set is non-empty and stop there, found or not."""
+    subfunctions = _split(f, k, a)
+    machines: list[MachineRecord] = []
+    for i, f_i in enumerate(subfunctions):
+        machines.append(MachineRecord(index=i, candidate_set=None))
+        order = _plan(f_i, a, seed, machines[i])
+        if order:
+            return _sweep(subfunctions, k, {i: order}, seed, machines)
+    return _finalize("not_found", None, None, machines)
+
+
+def run_parallel(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
+    """All machines count, then sweep step-locked; the first verified
+    solution wins, lowest machine index breaking ties within a step. With a
+    known unique solution (a = 1) the counting stage is skipped and every
+    machine runs a single Grover shot for b = 1."""
+    subfunctions = _split(f, k, a)
+    machines = [MachineRecord(index=i, candidate_set=None)
+                for i in range(len(subfunctions))]
+    orders = {i: [1] if a == 1 else _plan(f_i, a, seed, machines[i])
+              for i, f_i in enumerate(subfunctions)}
+    return _sweep(subfunctions, k, orders, seed, machines)
 
 
 def worst_case_query_bound(n: int, k: int, a: int) -> tuple[int, int]:

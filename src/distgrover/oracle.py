@@ -41,6 +41,20 @@ def _as_index(x, arity: int) -> int:
     return index
 
 
+def read_text(path) -> str:
+    """A file's text, decoded from its bytes as strict UTF-8 (so the text
+    encodes back to exactly those bytes). An unreadable file raises
+    UsageError; one that is not UTF-8 raises ParseError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _digits(text: str) -> np.ndarray:
     """One uint8 per character: 0 for "0", 1 for "1", and a value above 1
     for any other character (non-ASCII ones included)."""
@@ -82,10 +96,14 @@ class BooleanFunction:
         return cls(arity, lambda _: table, label)
 
     @classmethod
-    def from_cnf(cls, formula: cnfmod.CnfFormula,
-                 label: str = "cnf") -> "BooleanFunction":
-        return cls(formula.variable_count, cnfmod.CnfFormula.truth_values,
-                   label, formula)
+    def from_cnf(cls, formula: cnfmod.CnfFormula, label: str = "cnf",
+                 build=cnfmod.CnfFormula.truth_values) -> "BooleanFunction":
+        """The formula's function, tabulated by `build(formula)`; a constant
+        formula (no clauses, or an empty clause) gives `constant`."""
+        if formula.constant_false or formula.is_constant_true:
+            return cls.constant(formula.variable_count,
+                                formula.is_constant_true, label)
+        return cls(formula.variable_count, build, label, formula)
 
     @classmethod
     def constant(cls, arity: int, value: int,
@@ -121,8 +139,8 @@ class BooleanFunction:
 
     @classmethod
     def from_file(cls, path) -> "BooleanFunction":
-        """Truth-table text file; see `from_table_text`."""
-        return cls.from_table_text(Path(path).read_text(), label=str(path))
+        """Truth-table text file; see `from_table_text` and `read_text`."""
+        return cls.from_table_text(read_text(path), label=str(path))
 
     # -- evaluation -------------------------------------------------------
 
@@ -177,11 +195,8 @@ class BooleanFunction:
             raise UsageError(f"suffix length {k} must be in [1, {n - 1}]")
         label = f"{self.label}|{bits}"
         if self.formula is not None:
-            restricted = cnfmod.restrict_cnf(self.formula, bits)
-            if restricted.constant_false or restricted.is_constant_true:
-                return BooleanFunction.constant(
-                    n - k, restricted.is_constant_true, label)
-            return BooleanFunction(n - k, self._build, label, restricted)
+            return BooleanFunction.from_cnf(
+                cnfmod.restrict_cnf(self.formula, bits), label, self._build)
         y = int(bits, 2)
         table = self.truth_values().reshape(1 << (n - k), 1 << k)[:, y].copy()
         return BooleanFunction(n - k, lambda _: table, label)

@@ -181,7 +181,7 @@ def test_criterion_07_query_bounds():
         seed = rng.getrandbits(32)
         out_s = run_serial(f, k, a, seed)
         ok &= out_s.serial_total <= serial_bound
-        out_p = run_parallel(f, k, a, seed, fast_a1=False)
+        out_p = run_parallel(f, k, a, seed)
         ok &= all(mac.total_queries <= parallel_bound
                   for mac in out_p.machines)
         instances += 1

@@ -179,8 +179,14 @@ def test_dist_parallel_fast_path(tmp_path, capsys):
 
 def test_dist_k_too_large(tmp_path, capsys):
     path = write_table(tmp_path, 3, [1])
-    assert main(["dist-serial", "--input", str(path), "--k", "3",
-                 "--a", "1"]) == 1
+    for command in ("dist-serial", "dist-parallel"):
+        for k in ("0", "3"):
+            assert main([command, "--input", str(path), "--k", k,
+                         "--a", "1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
 
 
 def test_compile_writes_ir(tmp_path, capsys):

@@ -167,6 +167,14 @@ def test_constant_formulas_not_compilable():
                                         constant_false=True))
 
 
+def test_constant_formulas_give_constant_oracles():
+    for formula, value in [(CnfFormula(variable_count=3, clauses=[]), 1),
+                           (parse_dimacs("p cnf 3 2\n0\n1 0\n"), 0)]:
+        oracle = oracle_from_formula(formula)
+        assert oracle.formula is None
+        assert oracle.truth_values().tolist() == [value] * 8
+
+
 def test_simulation_phase_and_restoration(rng):
     for _ in range(15):
         n = rng.randint(2, 6)

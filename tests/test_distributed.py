@@ -11,11 +11,10 @@ from distgrover import (
     decompose,
     run_parallel,
     run_serial,
-    sweep_candidates,
     threshold_t_a,
     worst_case_query_bound,
 )
-from distgrover.distributed import MachineRecord, statement_form_bound
+from distgrover.distributed import statement_form_bound
 from distgrover.errors import UsageError
 from distgrover.grover import grover_iterations
 
@@ -86,22 +85,38 @@ def test_candidate_set_zero_estimate_nonconstant_keeps_window():
     assert len(cs.candidates) <= 2 * cs.t_a + 1
 
 
-def test_sweep_tries_largest_first():
-    f_i = marked_function(4, [9])
-    record = MachineRecord(index=0, candidate_set=None)
-    outcome = sweep_candidates(f_i, (1, 2, 3), 11, record.ledger, record)
-    tried = [b for b, _, _ in record.attempts]
-    assert tried == sorted(tried, reverse=True)
-    if outcome is not None:
-        assert outcome.measured_x == 9
-        assert record.attempts[-1][2]
+def test_sweeps_try_largest_first_and_verify_every_shot(rng):
+    for _ in range(12):
+        n = rng.randint(4, 8)
+        k = rng.randint(1, min(3, n - 1))
+        a = rng.randint(1, 4)
+        f = marked_function(n, rng.sample(range(1 << n), rng.randint(0, 4)))
+        for runner in (run_serial, run_parallel):
+            out = runner(f, k, a, seed=rng.getrandbits(32))
+            for m in out.machines:
+                tried = [b for b, _, _ in m.attempts]
+                assert tried == sorted(tried, reverse=True)
+                assert m.ledger.classical_queries == len(m.attempts)
+            if out.status == "not_found":
+                assert not any(s for m in out.machines
+                               for _, _, s in m.attempts)
 
 
-def test_sweep_no_solution_returns_none():
-    f_i = marked_function(3, [])
-    ledger = QueryLedger()
-    assert sweep_candidates(f_i, (1, 2), 5, ledger) is None
-    assert ledger.classical_queries == 2   # every measurement is verified
+def test_serial_visits_plan_like_parallel_and_sweep_a_prefix(rng):
+    for _ in range(12):
+        n = rng.randint(4, 8)
+        k = rng.randint(1, min(3, n - 1))
+        marked = rng.sample(range(1 << n), rng.randint(2, 4))
+        f = marked_function(n, marked)
+        seed = rng.getrandbits(32)
+        serial = run_serial(f, k, len(marked), seed)
+        parallel = run_parallel(f, k, len(marked), seed)
+        for s_m in serial.machines:
+            p_m = parallel.machines[s_m.index]
+            assert s_m.candidate_set == p_m.candidate_set
+            assert p_m.attempts == s_m.attempts[:len(p_m.attempts)]
+        # serial sweeps the last machine it visits, and only that one
+        assert all(not m.attempts for m in serial.machines[:-1])
 
 
 def test_serial_finds_unique_solution():
@@ -161,12 +176,6 @@ def test_parallel_fast_path_query_counts():
         assert m.ledger.classical_queries == 1
 
 
-def test_parallel_fast_path_can_be_disabled():
-    f = marked_function(6, [5])
-    out = run_parallel(f, 1, 1, seed=3, fast_a1=False)
-    assert all(m.candidate_set is not None for m in out.machines)
-
-
 def test_runs_are_deterministic():
     f = marked_function(7, [19, 64, 100])
     for runner in (run_serial, run_parallel):
@@ -197,8 +206,7 @@ def test_ledgers_within_worst_case_bounds(rng):
         serial_bound, parallel_bound = worst_case_query_bound(n, k, a)
         out_s = run_serial(f, k, a, seed=rng.randint(0, 2 ** 32))
         assert out_s.serial_total <= serial_bound
-        out_p = run_parallel(f, k, a, seed=rng.randint(0, 2 ** 32),
-                             fast_a1=False)
+        out_p = run_parallel(f, k, a, seed=rng.randint(0, 2 ** 32))
         assert max(m.total_queries for m in out_p.machines) <= parallel_bound
 
 

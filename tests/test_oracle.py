@@ -186,6 +186,11 @@ def test_truth_table_file_errors(tmp_path):
     path.write_text("2\n001\n")
     with pytest.raises(ParseError, match="line 2"):
         BooleanFunction.from_file(path)
+    path.write_bytes(b"2\n01\xff0\n")
+    with pytest.raises(ParseError, match="is not UTF-8 text"):
+        BooleanFunction.from_file(path)
+    with pytest.raises(UsageError, match="cannot read"):
+        BooleanFunction.from_file(tmp_path / "missing.table")
 
 
 def test_non_ascii_table_characters_are_table_errors():
