@@ -77,23 +77,6 @@ def clause_is_false_index(clause: tuple[int, ...], assignment_index: int,
     return 1
 
 
-def clause_is_false(clause, assignment) -> int:
-    """1 iff every literal of the clause is false under `assignment`.
-
-    `assignment` is a bit string (or 0/1 sequence) over all n variables.
-    """
-    bits = [int(b) for b in assignment]
-    for lit in clause:
-        var = abs(lit)
-        if var > len(bits):
-            raise UsageError(
-                f"assignment of length {len(bits)} does not cover x{var}")
-        value = bits[var - 1]
-        if (value == 1) if lit > 0 else (value == 0):
-            return 0
-    return 1
-
-
 def _normalize_clause(literals: list[int]) -> tuple[int, ...] | None:
     """Dedupe literals; None for tautologies (x and not-x together)."""
     seen: dict[int, int] = {}

@@ -99,8 +99,8 @@ def counter_width(clause_count: int) -> int:
     return max(1, math.ceil(math.log2(clause_count + 1)))
 
 
-def build_uk(clause: tuple[int, ...], modulus: int, width: int,
-             clause_index: int, subtract: bool = False) -> list:
+def build_uk(clause: tuple[int, ...], modulus: int, clause_index: int,
+             subtract: bool = False) -> list:
     """Gate block incrementing (or decrementing) the counter exactly when
     the clause is false under the input assignment."""
     if not clause:
@@ -128,10 +128,10 @@ def compile_phase_oracle(formula: cnfmod.CnfFormula) -> CircuitIR:
     modulus = m + 1
     gates: list = []
     for idx, clause in enumerate(formula.clauses):
-        gates.extend(build_uk(clause, modulus, width, idx))
+        gates.extend(build_uk(clause, modulus, idx))
     gates.append(ZeroPhaseOnCounter(width=width))
     for idx in range(m - 1, -1, -1):
-        gates.extend(build_uk(formula.clauses[idx], modulus, width, idx,
+        gates.extend(build_uk(formula.clauses[idx], modulus, idx,
                               subtract=True))
     return CircuitIR(input_qubits=formula.variable_count,
                      counter_qubits=width, clause_count=m,

@@ -34,11 +34,9 @@ _QFT_CACHE: dict[int, np.ndarray] = {}
 @dataclass(frozen=True)
 class CountEstimate:
     y: int
-    grid: int
     a_tilde: float
     t_prime: float
     t_prime_rounded: int
-    ledger: dict
 
 
 class QOperator:
@@ -99,22 +97,16 @@ def est_amp_distribution(f: BooleanFunction,
     return measurement_distribution(state, control)
 
 
-def _estimate_from_y(f: BooleanFunction, y: int, m: int,
-                     ledger: QueryLedger) -> CountEstimate:
-    a_tilde = math.sin(math.pi * y / (1 << m)) ** 2
-    t_prime = (1 << f.arity) * a_tilde
-    return CountEstimate(y=y, grid=1 << m, a_tilde=a_tilde, t_prime=t_prime,
-                         t_prime_rounded=int(math.floor(t_prime + 0.5)),
-                         ledger=ledger.snapshot())
-
-
 def run_est_amp(f: BooleanFunction, m: int, seed: int,
                 ledger: QueryLedger) -> CountEstimate:
     """Sample one estimation outcome; charges 2^m - 1 quantum queries."""
     distribution = est_amp_distribution(f, m)
     y = sample(distribution, seed)
     ledger.add_quantum((1 << m) - 1, phase="counting")
-    return _estimate_from_y(f, y, m, ledger)
+    a_tilde = math.sin(math.pi * y / (1 << m)) ** 2
+    t_prime = (1 << f.arity) * a_tilde
+    return CountEstimate(y=y, a_tilde=a_tilde, t_prime=t_prime,
+                         t_prime_rounded=int(math.floor(t_prime + 0.5)))
 
 
 def run_count(f: BooleanFunction, grid: int, seed: int,

@@ -22,7 +22,6 @@ from .errors import UsageError
 class GroverOutcome:
     measured_x: int
     is_solution: int
-    ledger: dict
 
     def measured_bits(self, arity: int) -> str:
         return format(self.measured_x, f"0{arity}b")
@@ -73,5 +72,4 @@ def run_grover(f: BooleanFunction, assumed_a: int, seed: int,
     distribution = measurement_distribution(state, range(0, n))
     measured = sample(distribution, seed)
     is_solution = f.evaluate(measured, ledger, phase="verify")
-    return GroverOutcome(measured_x=measured, is_solution=is_solution,
-                         ledger=ledger.snapshot())
+    return GroverOutcome(measured_x=measured, is_solution=is_solution)

@@ -187,8 +187,7 @@ class BooleanFunction:
 
     def restrict(self, suffix) -> "BooleanFunction":
         """Subfunction f_i(x) = f(x || suffix) on the first n-k variables."""
-        bits = format(suffix[0], f"0{suffix[1]}b") if isinstance(
-            suffix, tuple) else "".join(str(int(b)) for b in suffix)
+        bits = "".join(str(int(b)) for b in suffix)
         k = len(bits)
         n = self.arity
         if not 1 <= k < n:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from distgrover.cli import REPORT_SCHEMA, main
 
@@ -241,3 +245,53 @@ def test_count_capacity_is_the_reading_register(tmp_path, capsys,
     wide = write_table(tmp_path, 8, [5, 77], name="wide.table")
     code, report = run_cli(capsys, ["count", "--input", str(wide)])
     assert code == 0 and report["parameters"]["grid"] == 16
+
+
+def test_report_blocks_of_every_command(tmp_path, capsys):
+    table = write_table(tmp_path, 4, [3, 12])
+    cnf = tmp_path / "f.dimacs"          # .dimacs is read as DIMACS too
+    cnf.write_text("p cnf 4 2\n1 -2 0\n3 4 0\n")
+    envelope = {"schema", "command", "input", "parameters", "outcome",
+                "duration_seconds"}
+    dist = (envelope | {"bounds", "ledger"}, {"n", "k", "a", "seed"})
+    expected = {
+        "grover": (envelope | {"ledger"}, {"n", "a", "seed", "oracle"}),
+        "count": (envelope | {"ground_truth", "ledger"},
+                  {"n", "grid", "seed"}),
+        "dist-serial": dist,
+        "dist-parallel": dist,
+        "compile": (envelope, {"out", "elementary"}),
+    }
+    argvs = {
+        "grover": ["--input", str(table), "--a", "2"],
+        "count": ["--input", str(cnf)],
+        "dist-serial": ["--input", str(cnf), "--k", "1", "--a", "2"],
+        "dist-parallel": ["--input", str(table), "--k", "2", "--a", "2"],
+        "compile": ["--input", str(cnf), "--out", str(tmp_path / "f.ir")],
+    }
+    for command, (keys, parameters) in expected.items():
+        code, report = run_cli(capsys, [command] + argvs[command])
+        assert code == 0
+        assert set(report) == keys, command
+        assert set(report["parameters"]) == parameters, command
+        assert report["command"] == command
+    assert report["outcome"]["n"] == 4      # compile parsed the .dimacs
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    path = write_table(tmp_path, 3, [2])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)              # nobody will read the report
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "distgrover.cli", "grover", "--input",
+             str(path), "--a", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"BrokenPipeError" not in proc.stderr

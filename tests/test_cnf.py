@@ -15,7 +15,7 @@ from distgrover import (
     parse_dimacs,
     run_grover,
 )
-from distgrover.cnf import clause_is_false, restrict_cnf
+from distgrover.cnf import clause_is_false_index, restrict_cnf
 from distgrover.compiler import (
     ELEMENTARY_SCALING_CONSTANT,
     MultiControlledAdd,
@@ -101,10 +101,10 @@ def test_empty_clause_is_constant_false():
 
 
 def test_clause_is_false_semantics():
-    assert clause_is_false((1, -2), "01") == 1
-    assert clause_is_false((1, -2), "11") == 0
-    assert clause_is_false((1, -2), "00") == 0
-    assert clause_is_false((-3,), [0, 0, 1]) == 1
+    assert clause_is_false_index((1, -2), 0b01, 2) == 1
+    assert clause_is_false_index((1, -2), 0b11, 2) == 0
+    assert clause_is_false_index((1, -2), 0b00, 2) == 0
+    assert clause_is_false_index((-3,), 0b001, 3) == 1
 
 
 def test_restrict_cnf_matches_table_restriction(rng):
@@ -129,7 +129,7 @@ def test_restrict_cnf_cases():
 
 
 def test_build_uk_flips_and_controls():
-    gates = build_uk((1, -3), modulus=4, width=2, clause_index=0)
+    gates = build_uk((1, -3), modulus=4, clause_index=0)
     assert [type(g) for g in gates] == [PauliX, MultiControlledAdd, PauliX]
     assert gates[0].qubit == 0 and gates[2].qubit == 0   # only positive lits
     assert gates[1].controls == ((0, True), (2, True))
@@ -193,7 +193,7 @@ def test_counter_trace_prefix_and_unwind():
     for y in range(1 << f.variable_count):
         trace = counter_trace(circuit, y)
         assert len(trace) == 2 * m + 1
-        falsities = [clause_is_false(c, format(y, "03b")) for c in f.clauses]
+        falsities = [clause_is_false_index(c, y, 3) for c in f.clauses]
         # forward pass: counter = false clauses among the first i
         for i in range(m):
             assert trace[i] == sum(falsities[:i + 1])

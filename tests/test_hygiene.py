@@ -1,13 +1,17 @@
-"""Source hygiene: every imported name in src/ and tests/ is used, and
-every module-level private name in src/distgrover/ is referenced.
+"""Source hygiene: every imported name in src/ and tests/ is used, every
+module-level private name in src/distgrover/ is referenced, and every
+parameter of a function in src/distgrover/ is read.
 
-Stdlib `ast` scans standing in for a linter's unused-import and dead-code
-rules. For imports, package `__init__.py` files are skipped (their imports
-are re-exports), as is `from __future__ import annotations`. A name counts
-as used when it appears as an identifier anywhere in the module, including
-inside string annotations. A private helper (a module-level `_name` bound
-by def, class or assignment; dunders excluded) counts as referenced when
-any module in src/ loads it, reads it as an attribute or imports it.
+Stdlib `ast` scans standing in for a linter's unused-import, dead-code and
+unused-argument rules. For imports, package `__init__.py` files are skipped
+(their imports are re-exports), as is `from __future__ import annotations`.
+A name counts as used when it appears as an identifier anywhere in the
+module, including inside string annotations. A private helper (a
+module-level `_name` bound by def, class or assignment; dunders excluded)
+counts as referenced when any module in src/ loads it, reads it as an
+attribute or imports it. A parameter (of a def or a lambda; `self`, `cls`
+and `_`-prefixed names excluded) counts as read when its name is loaded
+anywhere in the function, nested functions included.
 """
 
 from __future__ import annotations
@@ -121,3 +125,44 @@ def test_scan_flags_a_dead_private_helper():
     }
     assert _dead_private_helpers(modules) == ["a.py:2: _dead",
                                               "a.py:5: _Gone"]
+
+
+def _unused_parameters(tree: ast.Module) -> list[tuple[int, str]]:
+    problems = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        spec = node.args
+        params = [a.arg for a in spec.posonlyargs + spec.args
+                  + spec.kwonlyargs + [spec.vararg, spec.kwarg]
+                  if a is not None]
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and not isinstance(n.ctx, ast.Store)}
+        problems += [(node.lineno, name) for name in params
+                     if name not in read and name not in ("self", "cls")
+                     and not name.startswith("_")]
+    return problems
+
+
+def test_no_unused_parameters():
+    files = sorted((ROOT / "src" / "distgrover").rglob("*.py"))
+    assert files
+    problems = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                for path in files
+                for line, name in _unused_parameters(ast.parse(
+                    path.read_text()))]
+    assert not problems, "unused parameters:\n" + "\n".join(problems)
+
+
+def test_scan_flags_an_unused_parameter():
+    tree = ast.parse("class C:\n"
+                     "    def m(self, used, unused, _skipped, *rest):\n"
+                     "        return used + len(rest)\n"
+                     "    @classmethod\n"
+                     "    def k(cls, x):\n"
+                     "        def inner():\n"
+                     "            return x\n"
+                     "        return inner\n"
+                     "f = lambda a, b: a\n")
+    assert _unused_parameters(tree) == [(2, "unused"), (9, "b")]
