@@ -36,12 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_function(args, text: str) -> BooleanFunction:
     if args.input.suffix not in (".cnf", ".dimacs"):
-        return BooleanFunction.from_table_text(text, label=str(args.input))
+        return BooleanFunction.from_table_text(text)
     formula = cnfmod.parse_dimacs(text)
     check_capacity(formula.variable_count)
     if args.oracle == "compiled":
-        return compiler.oracle_from_formula(formula, label=str(args.input))
-    return BooleanFunction.from_cnf(formula, label=str(args.input))
+        return compiler.oracle_from_formula(formula)
+    return BooleanFunction.from_cnf(formula)
 
 
 def _write(path, text: str, mode: str) -> None:

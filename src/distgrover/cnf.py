@@ -2,9 +2,11 @@
 
 A literal is a signed 1-based variable index (positive = variable, negative
 = its negation). Variable 1 corresponds to qubit 0 and therefore to the most
-significant bit of an assignment index. Constant formulas are represented
-explicitly: zero clauses means constant true (empty conjunction), while a
-parsed or derived empty clause sets `constant_false`.
+significant bit of an assignment index. Constant formulas are plain CNF: no
+clauses is constant true (the empty conjunction), and a formula holding the
+empty clause `()` is constant false, since no assignment satisfies it.
+Parsing keeps an empty clause as `()`, and restriction keeps a clause whose
+literals are all fixed false as `()`, so no case needs special handling.
 """
 
 from __future__ import annotations
@@ -21,37 +23,34 @@ from .errors import ParseError, UsageError
 class CnfFormula:
     variable_count: int
     clauses: list[tuple[int, ...]]
-    constant_false: bool = False
-    original_clause_count: int = 0
     dropped_tautologies: int = 0
-
-    def __post_init__(self):
-        if not self.original_clause_count:
-            self.original_clause_count = len(self.clauses)
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
 
     @property
+    def original_clause_count(self) -> int:
+        """Source clauses, tautologies dropped while parsing included."""
+        return len(self.clauses) + self.dropped_tautologies
+
+    @property
+    def constant_false(self) -> bool:
+        return () in self.clauses
+
+    @property
     def is_constant_true(self) -> bool:
-        return not self.constant_false and not self.clauses
+        return not self.clauses
 
     def evaluate(self, assignment_index: int) -> int:
         """f(y) for the assignment encoded as an integer (variable 1 = MSB)."""
-        if self.constant_false:
-            return 0
         n = self.variable_count
-        for clause in self.clauses:
-            if clause_is_false_index(clause, assignment_index, n):
-                return 0
-        return 1
+        return int(not any(clause_is_false_index(clause, assignment_index, n)
+                           for clause in self.clauses))
 
     def truth_values(self) -> np.ndarray:
         """Vector of f over all 2^n assignments, ascending index order."""
         size = 1 << self.variable_count
-        if self.constant_false:
-            return np.zeros(size, dtype=np.uint8)
         values = np.ones(size, dtype=bool)
         idx = np.arange(size)
         n = self.variable_count
@@ -64,44 +63,30 @@ class CnfFormula:
         return values.astype(np.uint8)
 
 
-def _bit_of(assignment_index: int, variable: int, n: int) -> int:
-    return (assignment_index >> (n - variable)) & 1
-
-
 def clause_is_false_index(clause: tuple[int, ...], assignment_index: int,
                           n: int) -> int:
-    for lit in clause:
-        value = _bit_of(assignment_index, abs(lit), n)
-        if (value == 1) if lit > 0 else (value == 0):
-            return 0
-    return 1
+    """1 if no literal of the clause holds at the assignment, else 0."""
+    return int(not any(((assignment_index >> (n - abs(lit))) & 1) == (lit > 0)
+                       for lit in clause))
 
 
 def _normalize_clause(literals: list[int]) -> tuple[int, ...] | None:
-    """Dedupe literals; None for tautologies (x and not-x together)."""
-    seen: dict[int, int] = {}
-    out: list[int] = []
-    for lit in literals:
-        if -lit in seen:
-            return None
-        if lit not in seen:
-            seen[lit] = 1
-            out.append(lit)
-    return tuple(out)
+    """Dedupe literals in order; None for tautologies (x and not-x)."""
+    unique = dict.fromkeys(literals)
+    return None if any(-lit in unique for lit in unique) else tuple(unique)
 
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse a DIMACS CNF document into a normalized CnfFormula.
 
     Tautological clauses are dropped with a warning; duplicate literals are
-    deduplicated. Parse errors carry the offending 1-based line number.
+    deduplicated; an empty clause is kept as `()`. Parse errors carry the
+    offending 1-based line number.
     """
     n = None
     declared_m = None
     clauses: list[tuple[int, ...]] = []
-    constant_false = False
     dropped = 0
-    raw_clause_count = 0
     pending: list[int] = []
     pending_line = None
 
@@ -130,18 +115,13 @@ def parse_dimacs(text: str) -> CnfFormula:
             except ValueError:
                 raise ParseError(f"bad literal {token!r}", lineno)
             if lit == 0:
-                raw_clause_count += 1
-                if not pending:
-                    constant_false = True
+                clause = _normalize_clause(pending)
+                if clause is None:
+                    dropped += 1
+                    warnings.warn(f"dropping tautological clause at line "
+                                  f"{pending_line}")
                 else:
-                    clause = _normalize_clause(pending)
-                    if clause is None:
-                        dropped += 1
-                        warnings.warn(
-                            f"dropping tautological clause at line "
-                            f"{pending_line or lineno}")
-                    else:
-                        clauses.append(clause)
+                    clauses.append(clause)
                 pending = []
                 pending_line = None
             else:
@@ -156,50 +136,36 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ParseError("missing 'p cnf' header")
     if pending:
         raise ParseError("unterminated clause at end of input", pending_line)
-    if raw_clause_count != declared_m:
+    if len(clauses) + dropped != declared_m:
         raise ParseError(f"header declares {declared_m} clauses, "
-                         f"found {raw_clause_count}")
+                         f"found {len(clauses) + dropped}")
     return CnfFormula(variable_count=n, clauses=clauses,
-                      constant_false=constant_false,
-                      original_clause_count=raw_clause_count,
                       dropped_tautologies=dropped)
 
 
 def restrict_cnf(formula: CnfFormula, suffix) -> CnfFormula:
     """Fix the last k variables to the bits of `suffix`.
 
-    Clauses with a satisfied literal are dropped; falsified literals are
-    removed; an emptied clause makes the result constant false. Surviving
-    prefix variables keep their indices. `suffix` is a string or sequence of
-    k bits assigning variables n-k+1 .. n in order.
+    Clauses with a satisfied literal are dropped and falsified literals are
+    removed, so a clause whose literals are all falsified becomes the empty
+    clause (constant false). Surviving prefix variables keep their indices.
+    `suffix` is a string or sequence of k bits assigning variables
+    n-k+1 .. n in order.
     """
     bits = [int(b) for b in suffix]
     k = len(bits)
     n = formula.variable_count
     if not 1 <= k < n:
         raise UsageError(f"suffix length {k} must be in [1, {n - 1}]")
-    if formula.constant_false:
-        return CnfFormula(variable_count=n - k, clauses=[],
-                          constant_false=True)
-
-    def fixed_value(var: int) -> int | None:
-        return bits[var - (n - k) - 1] if var > n - k else None
-
+    free = n - k
     new_clauses: list[tuple[int, ...]] = []
     for clause in formula.clauses:
         kept: list[int] = []
-        satisfied = False
         for lit in clause:
-            value = fixed_value(abs(lit))
-            if value is None:
+            if abs(lit) <= free:
                 kept.append(lit)
-            elif (value == 1) == (lit > 0):
-                satisfied = True
-                break
-        if satisfied:
-            continue
-        if not kept:
-            return CnfFormula(variable_count=n - k, clauses=[],
-                              constant_false=True)
-        new_clauses.append(tuple(kept))
-    return CnfFormula(variable_count=n - k, clauses=new_clauses)
+            elif (bits[abs(lit) - free - 1] == 1) == (lit > 0):
+                break           # satisfied: the clause drops out
+        else:
+            new_clauses.append(tuple(kept))
+    return CnfFormula(variable_count=free, clauses=new_clauses)

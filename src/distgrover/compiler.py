@@ -16,10 +16,13 @@ since at most m clauses can fail.
 
 Every gate maps basis states to basis states and the counter always comes
 back to |0..0>, so the whole circuit acts on the input register as one +-1
-diagonal. `circuit_diagonal` computes it once for all 2^n inputs, checking
-that restoration on every input; a compiled oracle is then a BooleanFunction
-whose truth table is that diagonal. `counter_trace` steps a single input and
-is the independent reference the diagonal is tested against.
+diagonal. One stepper, `_run`, carries an integer index, counter and phase
+bit per input through the gates: `circuit_diagonal` runs all 2^n inputs at
+once (a compiled oracle is a BooleanFunction with that diagonal as its truth
+table), `counter_trace` and `simulate_oracle_circuit` run one. Tests check
+the diagonal against `CnfFormula.truth_values` and the live-counter execution
+`tests/conftest.py::live_counter_apply`. A constant formula (no clauses, or
+the empty clause) has no circuit and gets a constant oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ ELEMENTARY_SCALING_CONSTANT = 130
 @dataclass(frozen=True)
 class PauliX:
     qubit: int
-    clause_index: int
 
     def to_text(self) -> str:
         return f"X q{self.qubit}"
@@ -57,22 +59,19 @@ class PauliX:
 
 @dataclass(frozen=True)
 class MultiControlledAdd:
-    controls: tuple[tuple[int, bool], ...]   # (input qubit, polarity)
+    controls: tuple[int, ...]   # input qubits, each firing on |1>
     modulus: int
-    clause_index: int
     subtract: bool = False
 
     def to_text(self) -> str:
         name = "CSUB" if self.subtract else "CADD"
-        ctrls = ",".join(f"{'+' if pol else '-'}q{q}"
-                         for q, pol in self.controls)
+        ctrls = ",".join(f"+q{q}" for q in self.controls)
         return f"{name} mod={self.modulus} ctrls=[{ctrls}]"
 
 
 @dataclass(frozen=True)
 class ZeroPhaseOnCounter:
     width: int
-    clause_index: int = -1
 
     def to_text(self) -> str:
         return f"Z0C width={self.width}"
@@ -85,10 +84,6 @@ class CircuitIR:
     clause_count: int
     gates: tuple
 
-    def block_count(self) -> int:
-        return sum(1 for g in self.gates
-                   if not isinstance(g, PauliX))
-
     def to_text(self) -> str:
         header = (f"oracle n={self.input_qubits} m={self.clause_count} "
                   f"counter={self.counter_qubits}")
@@ -99,17 +94,16 @@ def counter_width(clause_count: int) -> int:
     return max(1, math.ceil(math.log2(clause_count + 1)))
 
 
-def build_uk(clause: tuple[int, ...], modulus: int, clause_index: int,
+def build_uk(clause: tuple[int, ...], modulus: int,
              subtract: bool = False) -> list:
     """Gate block incrementing (or decrementing) the counter exactly when
     the clause is false under the input assignment."""
     if not clause:
         raise UsageError("cannot build a block for an empty clause")
-    flips = [PauliX(abs(lit) - 1, clause_index)
-             for lit in clause if lit > 0]
-    controls = tuple(sorted((abs(lit) - 1, True) for lit in clause))
-    core = MultiControlledAdd(controls=controls, modulus=modulus,
-                              clause_index=clause_index, subtract=subtract)
+    flips = [PauliX(abs(lit) - 1) for lit in clause if lit > 0]
+    core = MultiControlledAdd(
+        controls=tuple(sorted(abs(lit) - 1 for lit in clause)),
+        modulus=modulus, subtract=subtract)
     return flips + [core] + list(reversed(flips))
 
 
@@ -127,83 +121,75 @@ def compile_phase_oracle(formula: cnfmod.CnfFormula) -> CircuitIR:
     width = counter_width(m)
     modulus = m + 1
     gates: list = []
-    for idx, clause in enumerate(formula.clauses):
-        gates.extend(build_uk(clause, modulus, idx))
+    for clause in formula.clauses:
+        gates.extend(build_uk(clause, modulus))
     gates.append(ZeroPhaseOnCounter(width=width))
-    for idx in range(m - 1, -1, -1):
-        gates.extend(build_uk(formula.clauses[idx], modulus, idx,
-                              subtract=True))
+    for clause in reversed(formula.clauses):
+        gates.extend(build_uk(clause, modulus, subtract=True))
     return CircuitIR(input_qubits=formula.variable_count,
                      counter_qubits=width, clause_count=m,
                      gates=tuple(gates))
 
 
-def counter_trace(circuit: CircuitIR, input_basis) -> list[int]:
-    """Counter value after each non-X gate on the basis input |y>|0>_C.
-
-    The scalar reference stepper: every gate maps basis states to basis
-    states, so this is exact integer arithmetic on one input at a time.
-    """
+def _run(circuit: CircuitIR, inputs: np.ndarray,
+         trace: list | None = None):
+    """Final (index, counter, phase flipped) arrays of |y>|0>_C for every
+    basis index y in `inputs`: X flips an index bit, CADD/CSUB step the
+    counter modulo m+1 where every control holds and the counter is below
+    m+1, Z0C toggles the phase where the counter is 0. Appends a copy of the
+    counter to `trace`, if given, after each non-X gate."""
     n = circuit.input_qubits
-    y = _as_index(input_basis, n)
-    bits = [(y >> (n - 1 - j)) & 1 for j in range(n)]
-    counter = 0
-    trace = []
-    for gate in circuit.gates:
-        if isinstance(gate, PauliX):
-            bits[gate.qubit] ^= 1
-            continue
-        if isinstance(gate, MultiControlledAdd):
-            if all(bits[q] == int(pol) for q, pol in gate.controls):
-                if counter < gate.modulus:
-                    counter = (counter + (-1 if gate.subtract else 1)) \
-                        % gate.modulus
-        trace.append(counter)
-    return trace
-
-
-def simulate_oracle_circuit(circuit: CircuitIR,
-                            input_basis) -> tuple[int, int]:
-    """(phase in {+1, -1}, 1 if the counter is restored to zero) on |y>|0>_C,
-    read off the counter trace: Z0C flips the phase where the counter is 0.
-    """
-    blocks = [g for g in circuit.gates if not isinstance(g, PauliX)]
-    trace = counter_trace(circuit, input_basis)
-    flips = sum(1 for gate, counter in zip(blocks, trace)
-                if isinstance(gate, ZeroPhaseOnCounter) and counter == 0)
-    return (-1) ** flips, int(not trace or trace[-1] == 0)
-
-
-def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
-    """The +-1 diagonal the circuit realizes on the input register.
-
-    All 2^n basis inputs go through the gate list at once, with no counter
-    qubits in any state: X gates flip a bit of every input index, CADD/CSUB
-    step a per-input counter modulo m+1 where every control holds, and Z0C
-    toggles the phase where the counter is 0. Raises InvariantError unless
-    every input ends with its bits restored and its counter back at 0, the
-    condition under which the circuit acts on |y>|0>_C as (+-1)|y>|0>_C.
-    """
-    n = circuit.input_qubits
-    check_capacity(n)
     top = max((g.modulus for g in circuit.gates
                if isinstance(g, MultiControlledAdd)), default=1)
-    index = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    counter = np.zeros(1 << n, dtype=np.min_scalar_type(2 * top))
-    flipped = np.zeros(1 << n, dtype=bool)
+    index = inputs.astype(np.min_scalar_type((1 << n) - 1))
+    counter = np.zeros(inputs.shape, dtype=np.min_scalar_type(2 * top))
+    flipped = np.zeros(inputs.shape, dtype=bool)
     for gate in circuit.gates:
         if isinstance(gate, PauliX):
             index ^= 1 << (n - 1 - gate.qubit)
-        elif isinstance(gate, MultiControlledAdd):
+            continue
+        if isinstance(gate, MultiControlledAdd):
             fires = counter < gate.modulus
-            for q, pol in gate.controls:
-                fires &= ((index >> (n - 1 - q)) & 1) == int(pol)
+            for q in gate.controls:
+                fires &= ((index >> (n - 1 - q)) & 1) == 1
             step = gate.modulus - 1 if gate.subtract else 1
             counter = np.where(fires, (counter + step) % gate.modulus,
                                counter)
         else:
             flipped ^= counter == 0
-    broken = np.flatnonzero((index != np.arange(1 << n)) | (counter != 0))
+        if trace is not None:
+            trace.append(counter.copy())
+    return index, counter, flipped
+
+
+def counter_trace(circuit: CircuitIR, input_basis) -> list[int]:
+    """Counter value after each non-X gate on the basis input |y>|0>_C."""
+    trace: list = []
+    _run(circuit, np.array([_as_index(input_basis, circuit.input_qubits)]),
+         trace)
+    return [int(counter[0]) for counter in trace]
+
+
+def simulate_oracle_circuit(circuit: CircuitIR,
+                            input_basis) -> tuple[int, int]:
+    """(phase in {+1, -1}, 1 if the counter is restored to zero) on
+    |y>|0>_C."""
+    _, counter, flipped = _run(circuit, np.array(
+        [_as_index(input_basis, circuit.input_qubits)]))
+    return -1 if flipped[0] else 1, int(counter[0] == 0)
+
+
+def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
+    """The +-1 diagonal the circuit realizes on the input register, from one
+    run of all 2^n basis inputs. Raises InvariantError unless every input
+    ends with its bits restored and its counter back at 0, the condition
+    under which the circuit acts on |y>|0>_C as (+-1)|y>|0>_C.
+    """
+    n = circuit.input_qubits
+    check_capacity(n)
+    inputs = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    index, counter, flipped = _run(circuit, inputs)
+    broken = np.flatnonzero((index != inputs) | (counter != 0))
     if broken.size:
         y = int(broken[0])
         raise InvariantError(
@@ -217,18 +203,17 @@ def _compiled_truth_values(formula: cnfmod.CnfFormula) -> np.ndarray:
         .astype(np.uint8)
 
 
-def oracle_from_formula(formula: cnfmod.CnfFormula,
-                        label: str = "compiled") -> BooleanFunction:
+def oracle_from_formula(formula: cnfmod.CnfFormula) -> BooleanFunction:
     """BooleanFunction whose truth table is the diagonal of the formula's
     compiled circuit, propagated once on first use. Its restrictions are
     compiled from the restricted formula the same way."""
-    return BooleanFunction.from_cnf(formula, label, _compiled_truth_values)
+    return BooleanFunction.from_cnf(formula, _compiled_truth_values)
 
 
 def gate_count(circuit: CircuitIR, elementary: bool = False) -> int:
     """IR block count (2m + 1) or the documented elementary-gate expansion."""
     if not elementary:
-        return circuit.block_count()
+        return sum(1 for g in circuit.gates if not isinstance(g, PauliX))
     total = 0
     for gate in circuit.gates:
         if isinstance(gate, PauliX):

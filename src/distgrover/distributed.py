@@ -126,11 +126,11 @@ def _finalize(status: str, solution: int | None, winner: int | None,
 
 
 def _split(f: BooleanFunction, k: int, a: int) -> list[BooleanFunction]:
-    """The subfunctions of `decompose`, after checking k and a."""
-    _check_split(f.arity, k)
+    """The subfunctions of `decompose`, after checking a."""
+    subfunctions = decompose(f, k)
     if a < 1:
         raise UsageError("a must be >= 1")
-    return decompose(f, k)
+    return subfunctions
 
 
 def _plan(f_i: BooleanFunction, a: int, seed: int,

@@ -8,12 +8,15 @@ diagonal of the formula's compiled oracle circuit (see the `compiler`
 module). The phase oracle Z_f flips the sign of basis states with f(x) = 1
 and charges exactly one quantum query per application regardless of arity.
 
-Inputs x are accepted as integers (basis index, variable 1 / qubit 0 = most
-significant bit) or as bit strings.
+An input x is a basis index of any integer type (Python or NumPy; variable
+1 / qubit 0 is the most significant bit) or its bits: a string of "0"/"1"
+characters or a sequence of integers 0 and 1. A restriction suffix is bits
+in the same forms. Anything else raises UsageError.
 """
 
 from __future__ import annotations
 
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -26,18 +29,29 @@ from .statevector import (StateVector, _check_norm, _check_register,
                           max_qubits)
 
 
+_BITS = {0: "0", 1: "1", "0": "0", "1": "1"}
+
+
+def _as_bits(x) -> str:
+    """x as a string of "0"/"1" characters; see the module docstring."""
+    try:
+        return "".join(_BITS[b if isinstance(b, str) else operator.index(b)]
+                       for b in x)
+    except (KeyError, TypeError):
+        raise UsageError(f"{x!r} is not an index or bits 0 and 1") from None
+
+
 def _as_index(x, arity: int) -> int:
-    if isinstance(x, int):
-        if not 0 <= x < (1 << arity):
-            raise UsageError(f"input {x} out of range for arity {arity}")
-        return x
-    bits = [int(b) for b in x]
-    if len(bits) != arity:
-        raise UsageError(f"input of length {len(bits)} does not match "
-                         f"arity {arity}")
-    index = 0
-    for b in bits:
-        index = (index << 1) | (b & 1)
+    try:
+        index = operator.index(x)
+    except TypeError:
+        bits = _as_bits(x)
+        if len(bits) != arity:
+            raise UsageError(f"input of length {len(bits)} does not match "
+                             f"arity {arity}") from None
+        return int(bits, 2)
+    if not 0 <= index < (1 << arity):
+        raise UsageError(f"input {index} out of range for arity {arity}")
     return index
 
 
@@ -69,12 +83,11 @@ class BooleanFunction:
     `restrict` restricts it and builds the subfunction with the same `build`.
     """
 
-    def __init__(self, arity: int, build, label: str = "f",
+    def __init__(self, arity: int, build,
                  formula: cnfmod.CnfFormula | None = None):
         if arity < 1:
             raise UsageError("arity must be >= 1")
         self.arity = arity
-        self.label = label
         self.formula = formula
         self._build = build
         self._truth_cache: np.ndarray | None = None
@@ -83,7 +96,7 @@ class BooleanFunction:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_truth_table(cls, bits, label: str = "f") -> "BooleanFunction":
+    def from_truth_table(cls, bits) -> "BooleanFunction":
         raw = _digits(bits) if isinstance(bits, str) else np.asarray(bits)
         if not ((raw == 0) | (raw == 1)).all():
             raise UsageError("truth table entries must be 0 or 1")
@@ -93,30 +106,28 @@ class BooleanFunction:
         if size != (1 << arity) or arity < 1:
             raise UsageError(f"truth table length {size} is not a power of "
                              "two >= 2")
-        return cls(arity, lambda _: table, label)
+        return cls(arity, lambda _: table)
 
     @classmethod
-    def from_cnf(cls, formula: cnfmod.CnfFormula, label: str = "cnf",
+    def from_cnf(cls, formula: cnfmod.CnfFormula,
                  build=cnfmod.CnfFormula.truth_values) -> "BooleanFunction":
         """The formula's function, tabulated by `build(formula)`; a constant
         formula (no clauses, or an empty clause) gives `constant`."""
         if formula.constant_false or formula.is_constant_true:
             return cls.constant(formula.variable_count,
-                                formula.is_constant_true, label)
-        return cls(formula.variable_count, build, label, formula)
+                                formula.is_constant_true)
+        return cls(formula.variable_count, build, formula)
 
     @classmethod
-    def constant(cls, arity: int, value: int,
-                 label: str | None = None) -> "BooleanFunction":
+    def constant(cls, arity: int, value: int) -> "BooleanFunction":
         value = int(bool(value))
-        return cls(arity, lambda _: np.full(1 << arity, value, np.uint8),
-                   label or f"const-{value}")
+        return cls(arity, lambda _: np.full(1 << arity, value, np.uint8))
 
     @classmethod
-    def from_table_text(cls, text: str,
-                        label: str = "f") -> "BooleanFunction":
+    def from_table_text(cls, text: str) -> "BooleanFunction":
         """Truth-table text: first line n, second line 2^n of {0,1}; blank
-        lines are skipped. Format errors raise ParseError with the line."""
+        lines are skipped and no other line may follow. Format errors raise
+        ParseError with the line."""
         lines = [(number, stripped)
                  for number, line in enumerate(text.splitlines(), 1)
                  if (stripped := line.strip())]
@@ -135,12 +146,15 @@ class BooleanFunction:
         if bits.shape[0] != 1 << n or (bits > 1).any():
             raise ParseError(f"table must be 2^{n} characters of 0/1",
                              table_line)
-        return cls.from_truth_table(bits, label)
+        if len(lines) > 2:
+            raise ParseError("unexpected text after the table line",
+                             lines[2][0])
+        return cls.from_truth_table(bits)
 
     @classmethod
     def from_file(cls, path) -> "BooleanFunction":
         """Truth-table text file; see `from_table_text` and `read_text`."""
-        return cls.from_table_text(read_text(path), label=str(path))
+        return cls.from_table_text(read_text(path))
 
     # -- evaluation -------------------------------------------------------
 
@@ -187,18 +201,17 @@ class BooleanFunction:
 
     def restrict(self, suffix) -> "BooleanFunction":
         """Subfunction f_i(x) = f(x || suffix) on the first n-k variables."""
-        bits = "".join(str(int(b)) for b in suffix)
+        bits = _as_bits(suffix)
         k = len(bits)
         n = self.arity
         if not 1 <= k < n:
             raise UsageError(f"suffix length {k} must be in [1, {n - 1}]")
-        label = f"{self.label}|{bits}"
         if self.formula is not None:
             return BooleanFunction.from_cnf(
-                cnfmod.restrict_cnf(self.formula, bits), label, self._build)
+                cnfmod.restrict_cnf(self.formula, bits), self._build)
         y = int(bits, 2)
         table = self.truth_values().reshape(1 << (n - k), 1 << k)[:, y].copy()
-        return BooleanFunction(n - k, lambda _: table, label)
+        return BooleanFunction(n - k, lambda _: table)
 
 
 def apply_zero_reflection(state: StateVector, register: range) -> StateVector:

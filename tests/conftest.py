@@ -80,8 +80,8 @@ def live_counter_apply(circuit, amps: np.ndarray) -> np.ndarray:
             ext = ext[idx ^ (1 << (big_q - 1 - gate.qubit))]
         elif isinstance(gate, MultiControlledAdd):
             ok = cval < gate.modulus
-            for q, pol in gate.controls:
-                ok &= ((idx >> (big_q - 1 - q)) & 1) == int(pol)
+            for q in gate.controls:
+                ok &= ((idx >> (big_q - 1 - q)) & 1) == 1
             delta = 1 if gate.subtract else -1   # source counter offset
             src_counter = (cval + delta) % gate.modulus
             ext = ext[np.where(ok, (idx & ~counter_mask) | src_counter, idx)]

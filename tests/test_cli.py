@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from distgrover.cli import REPORT_SCHEMA, main
 
 from conftest import marked_function
@@ -101,6 +103,15 @@ def test_table_length_or_alphabet_is_parse_error(tmp_path, capsys):
         bad.write_text(f"\n3\n\n{table}\n")
         assert main(["count", "--input", str(bad)]) == 2
         assert "error: line 4:" in capsys.readouterr().err
+
+
+def test_text_after_the_table_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.table"
+    bad.write_text("2\n0101\ngarbage\n")
+    assert main(["grover", "--input", str(bad), "--a", "1"]) == 2
+    assert "error: line 3:" in capsys.readouterr().err
+    bad.write_text("2\n0101\n\n  \n")        # trailing blank lines are fine
+    assert main(["grover", "--input", str(bad), "--a", "1"]) == 0
 
 
 def test_undecodable_input_is_parse_error(tmp_path, capsys):
@@ -206,6 +217,19 @@ def test_compile_writes_ir(tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("oracle n=3 m=3 counter=2\n")
     assert text.count("Z0C") == 1
+
+
+def test_compile_reports_dropped_tautologies(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 4\n1 -2 0\n2 -2 3 0\n2 3 0\n-1 0\n")
+    with pytest.warns(UserWarning, match="tautological clause at line 3"):
+        code, report = run_cli(capsys, ["compile", "--input", str(cnf),
+                                        "--out", str(tmp_path / "f.ir")])
+    assert code == 0
+    outcome = report["outcome"]
+    assert outcome["original_clause_count"] == 4
+    assert outcome["dropped_tautologies"] == 1
+    assert outcome["m"] == 3 and outcome["ir_blocks"] == 7
 
 
 def test_json_file_append(tmp_path, capsys):

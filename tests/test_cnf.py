@@ -100,6 +100,18 @@ def test_empty_clause_is_constant_false():
     assert not f.truth_values().any()
 
 
+def test_empty_clause_and_tautology_count_toward_header():
+    with pytest.warns(UserWarning, match="tautological clause at line 3"):
+        f = parse_dimacs("p cnf 2 3\n0\n1 -1 0\n2 0\n")
+    assert f.clauses == [(), (2,)]
+    assert f.original_clause_count == 3
+    assert f.dropped_tautologies == 1
+    assert f.constant_false and not f.is_constant_true
+    with pytest.warns(UserWarning), \
+            pytest.raises(ParseError, match="declares 2 clauses, found 3"):
+        parse_dimacs("p cnf 2 2\n0\n1 -1 0\n2 0\n")
+
+
 def test_clause_is_false_semantics():
     assert clause_is_false_index((1, -2), 0b01, 2) == 1
     assert clause_is_false_index((1, -2), 0b11, 2) == 0
@@ -108,14 +120,32 @@ def test_clause_is_false_semantics():
 
 
 def test_restrict_cnf_matches_table_restriction(rng):
-    for _ in range(20):
-        n = rng.randint(3, 7)
-        formula = random_3cnf(n, rng.randint(1, 10), rng)
+    formulas = [random_3cnf(rng.randint(3, 7), rng.randint(1, 10), rng)
+                for _ in range(20)]
+    for n in (3, 4, 5, 6, 7):           # with the empty clause: constant false
+        formula = random_3cnf(n, 4, rng)
+        formula.clauses.insert(rng.randint(0, 4), ())
+        formulas.append(formula)
+    formulas += [CnfFormula(4, []), CnfFormula(5, [()]),   # constants
+                 # every clause satisfied, or emptied, by some suffix
+                 CnfFormula(4, [(3, 4)]), CnfFormula(4, [(-4,), (3, 4)])]
+    for formula in formulas:
+        n = formula.variable_count
         full = formula.truth_values()
+        assert np.array_equal(full, brute_truth(formula))
+        functions = (BooleanFunction.from_cnf(formula),
+                     oracle_from_formula(formula))
+        for f in functions:
+            assert np.array_equal(f.truth_values(), full)
         for k in range(1, n):
             for y in range(1 << k):
-                sub = restrict_cnf(formula, format(y, f"0{k}b"))
+                suffix = format(y, f"0{k}b")
+                sub = restrict_cnf(formula, suffix)
                 assert np.array_equal(sub.truth_values(), full[y::1 << k])
+                assert np.array_equal(brute_truth(sub), full[y::1 << k])
+                for f in functions:
+                    assert np.array_equal(f.restrict(suffix).truth_values(),
+                                          full[y::1 << k])
 
 
 def test_restrict_cnf_cases():
@@ -129,10 +159,10 @@ def test_restrict_cnf_cases():
 
 
 def test_build_uk_flips_and_controls():
-    gates = build_uk((1, -3), modulus=4, clause_index=0)
+    gates = build_uk((1, -3), modulus=4)
     assert [type(g) for g in gates] == [PauliX, MultiControlledAdd, PauliX]
     assert gates[0].qubit == 0 and gates[2].qubit == 0   # only positive lits
-    assert gates[1].controls == ((0, True), (2, True))
+    assert gates[1].controls == (0, 2)
     assert not gates[1].subtract
 
 
@@ -141,13 +171,14 @@ def test_compile_structure():
     circuit = compile_phase_oracle(f)
     assert circuit.input_qubits == 3
     assert circuit.counter_qubits == counter_width(3) == 2
-    assert circuit.block_count() == 2 * 3 + 1
+    assert gate_count(circuit) == 2 * 3 + 1
     kinds = [type(g) for g in circuit.gates if not isinstance(g, PauliX)]
     assert kinds[3] is ZeroPhaseOnCounter
     adds = [g for g in circuit.gates if isinstance(g, MultiControlledAdd)]
     assert [g.subtract for g in adds] == [False] * 3 + [True] * 3
     # mirrored clause order on the unwind
-    assert [g.clause_index for g in adds] == [0, 1, 2, 2, 1, 0]
+    assert [g.controls for g in adds] == [(0, 1), (1, 2), (0,),
+                                          (0,), (1, 2), (0, 1)]
 
 
 def test_counter_width_values():
@@ -163,8 +194,7 @@ def test_constant_formulas_not_compilable():
     with pytest.raises(NotCompilableError):
         compile_phase_oracle(CnfFormula(variable_count=2, clauses=[]))
     with pytest.raises(NotCompilableError):
-        compile_phase_oracle(CnfFormula(variable_count=2, clauses=[],
-                                        constant_false=True))
+        compile_phase_oracle(CnfFormula(variable_count=2, clauses=[()]))
 
 
 def test_constant_formulas_give_constant_oracles():

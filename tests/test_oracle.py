@@ -24,6 +24,43 @@ def test_evaluate_truth_table():
         f.evaluate("1")
 
 
+def test_evaluate_rejects_digits_other_than_0_and_1():
+    f = BooleanFunction.from_truth_table([0, 0, 1, 0])
+    for x in ("12", "1x", [1, 2], [1, -1]):
+        with pytest.raises(UsageError):
+            f.evaluate(x)
+
+
+def test_evaluate_accepts_any_integer_type_only():
+    f = BooleanFunction.from_truth_table([0, 0, 1, 0])
+    assert f.evaluate(np.int64(2)) == f.evaluate(np.uint8(2)) == 1
+    assert f.evaluate([1, 0]) == f.evaluate(np.array([1, 0])) == 1
+    for x in (2.0, [0, 1.0], None):
+        with pytest.raises(UsageError):
+            f.evaluate(x)
+
+
+def _table_and_cnf_functions():
+    return (BooleanFunction.from_truth_table([0, 1, 1, 0, 0, 0, 1, 1]),
+            BooleanFunction.from_cnf(CnfFormula(3, [(1, -3), (2, 3)])))
+
+
+def test_restrict_rejects_digits_other_than_0_and_1():
+    for f in _table_and_cnf_functions():
+        for suffix in ("2", "x", [2], [0, -1]):
+            with pytest.raises(UsageError):
+                f.restrict(suffix)
+
+
+def test_restrict_accepts_integer_bits_only():
+    for f in _table_and_cnf_functions():
+        assert np.array_equal(f.restrict([np.int64(0), 1]).truth_values(),
+                              f.restrict("01").truth_values())
+        for suffix in ([0, 1.7], [1.0], 1):
+            with pytest.raises(UsageError):
+                f.restrict(suffix)
+
+
 def test_truth_table_entries_must_be_bits():
     for bits in ([0, 2, 1, 1], [0, -1, 1, 1], "01a1", "0121"):
         with pytest.raises(UsageError):
