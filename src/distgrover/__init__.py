@@ -13,8 +13,8 @@ from .errors import (CapacityError, DistGroverError, InvariantError,
 from .estimation import (CountEstimate, QOperator, relaxed_error_bound,
                          count_error_bound, counting_grid_for,
                          est_amp_distribution, run_count, run_est_amp)
-from .grover import (GroverOutcome, apply_grover_iterate, grover_iterations,
-                     run_grover, success_probability)
+from .grover import (Evolution, GroverOutcome, apply_grover_iterate,
+                     grover_iterations, run_grover, success_probability)
 from .ledger import QueryLedger
 from .oracle import BooleanFunction, apply_zero_reflection
 from .statevector import (MeasurementDistribution, StateVector,

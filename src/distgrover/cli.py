@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands grover, count, dist-serial, dist-parallel and compile are one row
-each of `build_parser`. `main` emits each run's JSON report (schema
-"distgrover-report/1") to stdout and, with --json PATH, to a file. Exit codes:
-0 success, 1 usage, 2 parse, 3 capacity, 4 internal invariant. Inputs named
-*.cnf or *.dimacs are DIMACS; any other is a truth table.
+each of `build_parser`, which runs once per process, on the first `main`
+call. `main` emits each run's JSON report (schema "distgrover-report/1") to
+stdout and, with --json PATH, to a file. Exit codes: 0 success, 1 usage,
+2 parse, 3 capacity, 4 internal invariant. Inputs named *.cnf or *.dimacs
+are DIMACS; any other is a truth table. A warning raised while loading the
+input, such as a dropped tautological clause, is one `warning:` line on
+stderr.
 
 Capacity defaults to 2^26 amplitudes; override with DISTGROVER_MAX_QUBITS.
 """
@@ -12,11 +15,13 @@ Capacity defaults to 2^26 amplitudes; override with DISTGROVER_MAX_QUBITS.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import cnf as cnfmod
@@ -48,7 +53,7 @@ def _write(path, text: str, mode: str) -> None:
     try:
         with open(path, mode) as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:     # ValueError: a NUL in the path
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
@@ -152,7 +157,10 @@ def cmd_compile(args, formula: cnfmod.CnfFormula) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later one, so callers must not change it."""
     parser = _Parser(prog="distgrover",
                      description="Exact simulation of distributed Grover "
                                  "search with query accounting")
@@ -189,11 +197,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _print_warning(message, *_details) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         text = read_text(args.input)
-        loaded = args.load(args, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            loaded = args.load(args, text)
         started = time.perf_counter()
         report = {"schema": REPORT_SCHEMA, "command": args.command,
                   "input": {"path": str(args.input), "sha256":

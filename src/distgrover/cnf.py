@@ -11,6 +11,7 @@ literals are all fixed false as `()`, so no case needs special handling.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -61,6 +62,20 @@ class CnfFormula:
                 satisfied |= (bit == 1) if lit > 0 else (bit == 0)
             values &= satisfied
         return values.astype(np.uint8)
+
+
+_BITS = {0: "0", 1: "1", "0": "0", "1": "1"}
+
+
+def _as_bits(x) -> str:
+    """x as a string of "0"/"1" characters. Each element of x must be the
+    character "0" or "1" or an integer (Python or NumPy) 0 or 1; anything
+    else raises UsageError."""
+    try:
+        return "".join(_BITS[b if isinstance(b, str) else operator.index(b)]
+                       for b in x)
+    except (KeyError, TypeError):
+        raise UsageError(f"{x!r} is not an index or bits 0 and 1") from None
 
 
 def clause_is_false_index(clause: tuple[int, ...], assignment_index: int,
@@ -150,9 +165,10 @@ def restrict_cnf(formula: CnfFormula, suffix) -> CnfFormula:
     removed, so a clause whose literals are all falsified becomes the empty
     clause (constant false). Surviving prefix variables keep their indices.
     `suffix` is a string or sequence of k bits assigning variables
-    n-k+1 .. n in order.
+    n-k+1 .. n in order; any element other than "0", "1", 0 or 1 raises
+    UsageError.
     """
-    bits = [int(b) for b in suffix]
+    bits = _as_bits(suffix)
     k = len(bits)
     n = formula.variable_count
     if not 1 <= k < n:
@@ -164,7 +180,7 @@ def restrict_cnf(formula: CnfFormula, suffix) -> CnfFormula:
         for lit in clause:
             if abs(lit) <= free:
                 kept.append(lit)
-            elif (bits[abs(lit) - free - 1] == 1) == (lit > 0):
+            elif (bits[abs(lit) - free - 1] == "1") == (lit > 0):
                 break           # satisfied: the clause drops out
         else:
             new_clauses.append(tuple(kept))

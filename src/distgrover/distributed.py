@@ -8,6 +8,10 @@ sweeps the window with Grover runs, verifying every measurement classically.
 
 Both modes plan each machine with `_plan` and sweep with `_sweep`; serial
 sweeps only the first machine with a non-empty plan, parallel sweeps all.
+A plan lists counts largest first, so its shots ask for non-decreasing
+iterate counts, and each swept machine keeps one `grover.Evolution` for its
+whole sweep: it simulates only its largest shot's iterates, while its ledger
+is charged every shot's.
 
 Seeding: machine i counts with derive(derive(seed, i), 0), and its sweep
 attempt j draws with derive(derive(derive(seed, i), 1), j). So for a >= 2
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .estimation import counting_grid_for, run_count
-from .grover import grover_iterations, run_grover
+from .grover import Evolution, grover_iterations, run_grover
 from .ledger import QueryLedger
 from .oracle import BooleanFunction
 from .seeding import derive
@@ -149,6 +153,8 @@ def _sweep(subfunctions: list[BooleanFunction], k: int,
     machine i with a j-th candidate b runs one verified Grover shot for b,
     seeded derive(derive(derive(seed, i), 1), j). The first step with a
     verified solution ends the sweep, the lowest machine index winning."""
+    evolutions = {i: Evolution(subfunctions[i])
+                  for i, order in orders.items() if order}
     for step in range(max(map(len, orders.values()), default=0)):
         finishers: list[tuple[int, int]] = []
         for i, order in orders.items():
@@ -156,7 +162,7 @@ def _sweep(subfunctions: list[BooleanFunction], k: int,
                 continue
             outcome = run_grover(subfunctions[i], order[step],
                                  derive(derive(derive(seed, i), 1), step),
-                                 machines[i].ledger)
+                                 machines[i].ledger, evolutions[i])
             machines[i].attempts.append((order[step], outcome.measured_x,
                                          outcome.is_solution))
             if outcome.is_solution:

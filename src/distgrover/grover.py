@@ -4,6 +4,13 @@ probability, and a full seeded run with query accounting.
 G = -H Z_0 H Z_f. The leading global phase is applied literally so that the
 simulated operator matches the textbook identity; it is observationally
 irrelevant and no test may depend on it.
+
+An `Evolution` holds one function's register from the uniform start and
+advances it to the iterate count a shot asks for. Shots that ask for
+non-decreasing counts, as a distributed sweep's do, therefore simulate each
+iterate once, while `run_grover` still charges every shot all k of its
+oracle queries. The state after k iterates is the same array whichever way
+it was reached, so every draw samples the same distribution as a fresh run.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from dataclasses import dataclass
 
 from .ledger import QueryLedger
 from .oracle import BooleanFunction, apply_zero_reflection
-from .statevector import (StateVector, apply_hadamard_all, init_basis,
+from .statevector import (MeasurementDistribution, StateVector,
+                          apply_hadamard_all, init_basis,
                           measurement_distribution, sample)
 from .errors import UsageError
 
@@ -43,15 +51,16 @@ def success_probability(n: int, a: int) -> float:
     return math.sin((2 * k + 1) * theta) ** 2
 
 
-def apply_grover_iterate(f: BooleanFunction, state: StateVector,
-                         ledger: QueryLedger | None = None) -> StateVector:
-    """One application of G; charges one quantum query."""
+def apply_grover_iterate(f: BooleanFunction,
+                         state: StateVector) -> StateVector:
+    """One application of G. Charges nothing: the caller's ledger counts
+    the shot's queries (see `run_grover`)."""
     n = f.arity
     if state.qubit_count != n:
         raise UsageError(f"state width {state.qubit_count} does not match "
                          f"arity {n}")
     register = range(0, n)
-    f.apply_phase_oracle(state, register, ledger)
+    f.apply_phase_oracle(state, register)
     apply_hadamard_all(state, register)
     apply_zero_reflection(state, register)
     apply_hadamard_all(state, register)
@@ -59,17 +68,54 @@ def apply_grover_iterate(f: BooleanFunction, state: StateVector,
     return state
 
 
+class Evolution:
+    """f's register from the uniform start, advanced on request.
+
+    `distribution(k)` applies only the iterates beyond those already
+    applied, restarts from the uniform start when asked for fewer, and
+    returns the last distribution again when asked for the same k. It holds
+    one state and one distribution: 24 bytes per amplitude.
+    """
+
+    def __init__(self, f: BooleanFunction):
+        self.f = f
+        self._restart()
+
+    def _restart(self) -> None:
+        n = self.f.arity
+        self.state = apply_hadamard_all(init_basis(n, 0), range(0, n))
+        self.iterations = 0
+        self._distribution: MeasurementDistribution | None = None
+
+    def distribution(self, iterations: int) -> MeasurementDistribution:
+        """Exact measurement distribution after `iterations` iterates."""
+        if iterations < 0:
+            raise UsageError("iteration count must be >= 0")
+        if iterations < self.iterations:
+            self._restart()
+        if self._distribution is None or iterations != self.iterations:
+            for _ in range(iterations - self.iterations):
+                apply_grover_iterate(self.f, self.state)
+            self.iterations = iterations
+            self._distribution = measurement_distribution(
+                self.state, range(0, self.f.arity))
+        return self._distribution
+
+
 def run_grover(f: BooleanFunction, assumed_a: int, seed: int,
-               ledger: QueryLedger) -> GroverOutcome:
+               ledger: QueryLedger,
+               evolution: Evolution | None = None) -> GroverOutcome:
     """Full search run: uniform start, k iterates, one sampled
-    measurement, one classical verification."""
-    n = f.arity
-    iterations = grover_iterations(n, assumed_a)
-    state = init_basis(n, 0)
-    apply_hadamard_all(state, range(0, n))
-    for _ in range(iterations):
-        apply_grover_iterate(f, state, ledger)
-    distribution = measurement_distribution(state, range(0, n))
-    measured = sample(distribution, seed)
+    measurement, one classical verification. The k iterates are charged as
+    k oracle queries even when `evolution`, one of f's kept across shots,
+    already holds some of them."""
+    iterations = grover_iterations(f.arity, assumed_a)
+    if evolution is None:
+        evolution = Evolution(f)
+    elif evolution.f is not f:
+        raise UsageError("evolution belongs to another function")
+    measured = sample(evolution.distribution(iterations), seed)
+    if iterations:
+        ledger.add_quantum(iterations, "oracle")
     is_solution = f.evaluate(measured, ledger, phase="verify")
     return GroverOutcome(measured_x=measured, is_solution=is_solution)

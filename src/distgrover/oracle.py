@@ -22,23 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import cnf as cnfmod
+from .cnf import _as_bits
 from .errors import CapacityError, ParseError, UsageError
 from .ledger import QueryLedger
 from .statevector import (StateVector, _check_norm, _check_register,
                           _split_shape, apply_diagonal_phase, check_capacity,
                           max_qubits)
-
-
-_BITS = {0: "0", 1: "1", "0": "0", "1": "1"}
-
-
-def _as_bits(x) -> str:
-    """x as a string of "0"/"1" characters; see the module docstring."""
-    try:
-        return "".join(_BITS[b if isinstance(b, str) else operator.index(b)]
-                       for b in x)
-    except (KeyError, TypeError):
-        raise UsageError(f"{x!r} is not an index or bits 0 and 1") from None
 
 
 def _as_index(x, arity: int) -> int:
@@ -61,7 +50,7 @@ def read_text(path) -> str:
     UsageError; one that is not UTF-8 raises ParseError."""
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:     # ValueError: a NUL in the path
         raise UsageError(f"cannot read {path}: {exc}") from None
     try:
         return data.decode()

@@ -1,8 +1,13 @@
-"""Dense references: the butterfly Hadamard kernel and the counting engine.
+"""Dense references: the butterfly Hadamard kernel, a Grover shot from a
+fresh state, and the counting engine.
 
 `reference_hadamard_all` is the per-qubit butterfly Walsh-Hadamard transform
 that `distgrover.statevector.apply_hadamard_all` replaced with in-place
 radix-4 butterflies; the radix-4 kernel is checked against it.
+
+`reference_run_grover` is a Grover shot that builds its own state and
+charges one query per oracle call: the shot a distributed sweep ran before
+each swept machine kept one `grover.Evolution` for all its shots.
 
 `distgrover.estimation` runs phase estimation on the reading register
 tensored with the 2-D plane of the normalised good and bad states. This
@@ -18,11 +23,14 @@ import math
 
 import numpy as np
 
-from distgrover import BooleanFunction, UsageError
+from distgrover import BooleanFunction, QueryLedger, UsageError
+from distgrover.grover import GroverOutcome, grover_iterations
+from distgrover.oracle import apply_zero_reflection
 from distgrover.statevector import (MeasurementDistribution, StateVector,
                                     apply_controlled_powers,
                                     apply_hadamard_all, check_capacity,
-                                    init_basis, measurement_distribution)
+                                    init_basis, measurement_distribution,
+                                    sample)
 
 _SQRT_HALF = math.sqrt(0.5)
 _QFT_CACHE: dict[tuple[int, bool], np.ndarray] = {}
@@ -47,6 +55,23 @@ def reference_hadamard_all(state: StateVector,
     against."""
     _hadamard_layers(state.amps, 1, register)
     return state
+
+
+def reference_run_grover(f: BooleanFunction, assumed_a: int, seed: int,
+                         ledger: QueryLedger) -> GroverOutcome:
+    """Uniform start, k iterates G = -H Z0 H Z_f each charging its oracle
+    call, one sampled measurement, one classical verification."""
+    n = f.arity
+    register = range(0, n)
+    state = apply_hadamard_all(init_basis(n, 0), register)
+    for _ in range(grover_iterations(n, assumed_a)):
+        f.apply_phase_oracle(state, register, ledger)
+        apply_hadamard_all(state, register)
+        apply_zero_reflection(state, register)
+        apply_hadamard_all(state, register)
+        state.amps *= -1.0
+    measured = sample(measurement_distribution(state, register), seed)
+    return GroverOutcome(measured, f.evaluate(measured, ledger))
 
 
 class DenseQOperator:

@@ -5,8 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
+from distgrover import cli
 from distgrover.cli import REPORT_SCHEMA, main
 
 from conftest import marked_function
@@ -80,6 +79,20 @@ def test_missing_required_flag_is_usage_error(tmp_path, capsys):
 def test_unreadable_input_is_usage_error(tmp_path, capsys):
     assert main(["grover", "--input", str(tmp_path / "nope"),
                  "--a", "1"]) == 1
+
+
+def test_path_with_a_nul_byte_is_usage_error(tmp_path, capsys):
+    path = write_table(tmp_path, 3, [1])
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    for argv in (["grover", "--input", "f\0.table", "--a", "1"],
+                 ["grover", "--input", str(path), "--a", "1",
+                  "--json", "r\0.jsonl"],
+                 ["compile", "--input", str(cnf), "--out", "f\0.ir"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot ")
+        assert captured.out == ""
 
 
 def test_dimacs_parse_error_exit_code(tmp_path, capsys):
@@ -222,14 +235,23 @@ def test_compile_writes_ir(tmp_path, capsys):
 def test_compile_reports_dropped_tautologies(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 4\n1 -2 0\n2 -2 3 0\n2 3 0\n-1 0\n")
-    with pytest.warns(UserWarning, match="tautological clause at line 3"):
-        code, report = run_cli(capsys, ["compile", "--input", str(cnf),
-                                        "--out", str(tmp_path / "f.ir")])
+    for _ in range(2):      # a repeated warning is printed again
+        code = main(["compile", "--input", str(cnf),
+                     "--out", str(tmp_path / "f.ir")])
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "warning: dropping tautological clause at line 3\n"
     assert code == 0
-    outcome = report["outcome"]
+    outcome = json.loads(captured.out)["outcome"]
     assert outcome["original_clause_count"] == 4
     assert outcome["dropped_tautologies"] == 1
     assert outcome["m"] == 3 and outcome["ir_blocks"] == 7
+    # a warning raised before a parse error is still printed, first
+    cnf.write_text("p cnf 2 2\n1 -1 0\n2 x 0\n")
+    assert main(["grover", "--input", str(cnf), "--a", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "warning: dropping tautological clause at line 2\n"
+        "error: line 3: bad literal 'x'\n")
 
 
 def test_json_file_append(tmp_path, capsys):
@@ -319,3 +341,55 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
     assert b"BrokenPipeError" not in proc.stderr
+
+
+def _outputs(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = captured.out.strip()
+    report = json.loads(out) if out else None
+    if report is not None:
+        report.pop("duration_seconds")
+    return code, report, captured.err
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    # 20 calls, failing ones included, build one parser; each call gives
+    # the exit code, report and stderr a freshly built parser gives
+    roots = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, **kwargs):
+            if kwargs["prog"] == "distgrover":
+                roots.append(self)
+            super().__init__(**kwargs)
+
+    table = write_table(tmp_path, 4, [3, 12])
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 4 2\n1 -2 0\n3 4 0\n")
+    argvs = [
+        ["grover", "--input", str(table), "--a", "2", "--seed", "3"],
+        ["grover", "--input", str(table), "--a", "2", "--bogus"],
+        ["count", "--input", str(tmp_path / "missing.table")],
+        ["count", "--input", str(cnf), "--seed", "4"],
+        ["dist-serial", "--input", str(table), "--k", "1", "--a", "2"],
+        ["dist-parallel", "--input", str(table), "--k", "2", "--a", "1"],
+        ["dist-parallel", "--input", str(table), "--k", "x", "--a", "1"],
+        ["compile", "--input", str(cnf), "--out", str(tmp_path / "f.ir")],
+        ["frobnicate"],
+        [],
+    ] * 2
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        shared = [_outputs(capsys, argv) for argv in argvs]
+        assert len(roots) == 1
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(_outputs(capsys, argv))
+        assert len(roots) == 1 + len(argvs)
+    finally:
+        cli.build_parser.cache_clear()
+    assert shared == fresh
+    assert {code for code, _, _ in shared} == {0, 1}

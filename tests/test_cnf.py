@@ -27,7 +27,8 @@ from distgrover.compiler import (
     counter_width,
     simulate_oracle_circuit,
 )
-from distgrover.errors import InvariantError, NotCompilableError, ParseError
+from distgrover.errors import (InvariantError, NotCompilableError,
+                               ParseError, UsageError)
 
 from conftest import live_counter_apply, random_3cnf
 
@@ -156,6 +157,19 @@ def test_restrict_cnf_cases():
     sub = restrict_cnf(formula, "0")
     assert sub.clauses == [(1,)]
     assert sub.variable_count == 2
+    # a suffix's bits may be characters or integers, NumPy ones included
+    for suffix in ("0", [0], (np.int64(0),), np.zeros(1, np.uint8)):
+        assert restrict_cnf(formula, suffix).clauses == [(1,)]
+
+
+@pytest.mark.parametrize("suffix", ["2", [2], [-1], [1.7], [1.0], ["10"],
+                                    [None], ["b"]],
+                         ids=["char 2", "int 2", "int -1", "float 1.7",
+                              "float 1.0", "string 10", "None", "char b"])
+def test_restrict_cnf_rejects_a_suffix_that_is_not_bits(suffix):
+    for clause in ((2,), (-2,)):
+        with pytest.raises(UsageError, match="bits 0 and 1"):
+            restrict_cnf(CnfFormula(2, [clause]), suffix)
 
 
 def test_build_uk_flips_and_controls():

@@ -14,11 +14,13 @@ from distgrover import (
     threshold_t_a,
     worst_case_query_bound,
 )
+from distgrover import distributed, grover
 from distgrover.distributed import statement_form_bound
 from distgrover.errors import UsageError
 from distgrover.grover import grover_iterations
 
 from conftest import marked_function
+from reference import reference_run_grover
 
 
 def test_decompose_blocks_and_conservation(rng):
@@ -213,3 +215,53 @@ def test_ledgers_within_worst_case_bounds(rng):
 def test_statement_bound_is_reporting_only():
     # exposed for reports; just check it is finite and positive
     assert statement_form_bound(6, 2) > 0
+
+
+def _random_instances(rng, count):
+    # small n - k puts the whole domain in the window, so some shots have
+    # b > 0.62 * 2^(n-k) and k_b = 0
+    for _ in range(count):
+        n = rng.randint(3, 10)
+        k = rng.randint(1, min(3, n - 1))
+        marked = rng.sample(range(1 << n), rng.randint(0, min(8, 1 << n)))
+        yield (marked_function(n, marked), k, rng.randint(1, 8),
+               rng.getrandbits(32))
+
+
+def _record(out):
+    return (out.status, out.solution, out.found_by_machine,
+            out.total_quantum, out.total_classical, out.parallel_depth,
+            [(m.index, m.candidate_set, m.attempts, m.ledger.snapshot())
+             for m in out.machines])
+
+
+def test_each_swept_machine_simulates_its_largest_shot_once(rng,
+                                                             monkeypatch):
+    # the sweep's iterates number the sum over swept machines of the
+    # largest k_b each ran, and every machine's counting result, attempts,
+    # ledger and the outcome equal a sweep that builds a fresh state for
+    # every shot
+    iterates = []
+
+    def counted_iterate(f, state):
+        iterates.append(f)
+        return apply_iterate(f, state)
+
+    apply_iterate = grover.apply_grover_iterate
+    monkeypatch.setattr(grover, "apply_grover_iterate", counted_iterate)
+    reached_zero = 0
+    for f, k, a, seed in _random_instances(rng, 40):
+        for runner in (run_serial, run_parallel):
+            del iterates[:]
+            out = runner(f, k, a, seed)
+            k_bs = [[grover_iterations(f.arity - k, b) for b, _, _ in
+                     m.attempts] for m in out.machines]
+            assert len(iterates) == sum(max(kb, default=0) for kb in k_bs)
+            reached_zero += sum(kb.count(0) for kb in k_bs)
+            with monkeypatch.context() as m:
+                m.setattr(distributed, "run_grover",
+                          lambda f_i, b, s, ledger, _evolution:
+                          reference_run_grover(f_i, b, s, ledger))
+                reference = runner(f, k, a, seed)
+            assert _record(out) == _record(reference)
+    assert reached_zero

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import distgrover
-from distgrover import (BooleanFunction, QueryLedger, UsageError,
-                        apply_grover_iterate, apply_hadamard_all,
+from distgrover import (BooleanFunction, Evolution, QueryLedger,
+                        UsageError, apply_grover_iterate, apply_hadamard_all,
                         grover, grover_iterations, init_basis,
                         measurement_distribution, run_grover,
                         success_probability)
@@ -128,6 +128,52 @@ def test_run_grover_query_accounting():
     run_grover(f, 2, 5, ledger)
     assert ledger.quantum_queries == grover_iterations(6, 2)
     assert ledger.classical_queries == 1
+
+
+def test_run_grover_charges_each_shot_all_its_iterates():
+    # a shot's k iterates are charged even when its evolution holds them,
+    # and a shot with k = 0 adds no "oracle" entry
+    f = first_k_marked(6, 3)
+    evolution = Evolution(f)
+    for a, k in ((4, 3), (2, 4), (2, 4), (64, 0)):
+        ledger = QueryLedger()
+        fresh = QueryLedger()
+        assert run_grover(f, a, 7, ledger, evolution) == \
+            run_grover(f, a, 7, fresh)
+        assert ledger.snapshot() == fresh.snapshot()
+        assert ledger.breakdown == ({"oracle": k, "verify": 1} if k
+                                    else {"verify": 1})
+    with pytest.raises(UsageError):
+        run_grover(first_k_marked(6, 3), 2, 7, QueryLedger(), evolution)
+
+
+def test_evolution_matches_a_fresh_run_for_any_count_sequence(monkeypatch):
+    # counts that rise, repeat and fall (a fall restarts from the uniform
+    # start); each distribution is the fresh run's, bit for bit, and only
+    # the iterates beyond the current count are applied
+    n = 6
+    f = marked_function(n, [5, 40, 41])
+    applied = []
+
+    def counted_iterate(g, state):
+        applied.append(g)
+        return apply_grover_iterate(g, state)
+
+    monkeypatch.setattr(grover, "apply_grover_iterate", counted_iterate)
+    evolution = Evolution(f)
+    expected_iterates = previous = 0
+    for k in (0, 0, 2, 3, 3, 7, 1, 1, 4, 0, 5):
+        fresh = apply_hadamard_all(init_basis(n, 0), range(n))
+        for _ in range(k):
+            apply_grover_iterate(f, fresh)
+        want = measurement_distribution(fresh, range(n)).probabilities
+        assert np.array_equal(evolution.distribution(k).probabilities, want)
+        assert evolution.iterations == k
+        expected_iterates += k - previous if k >= previous else k
+        previous = k
+    assert len(applied) == expected_iterates
+    with pytest.raises(UsageError):
+        evolution.distribution(-1)
 
 
 def test_run_grover_empirical_frequency():
