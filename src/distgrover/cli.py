@@ -4,10 +4,10 @@ Subcommands grover, count, dist-serial, dist-parallel and compile are one row
 each of `build_parser`, which runs once per process, on the first `main`
 call. `main` emits each run's JSON report (schema "distgrover-report/1") to
 stdout and, with --json PATH, to a file. Exit codes: 0 success, 1 usage,
-2 parse, 3 capacity, 4 internal invariant. Inputs named *.cnf or *.dimacs
-are DIMACS; any other is a truth table. A warning raised while loading the
-input, such as a dropped tautological clause, is one `warning:` line on
-stderr.
+2 parse, 3 capacity, 4 internal invariant; -h/--help prints the usage to
+stdout and returns 0. Inputs named *.cnf or *.dimacs are DIMACS; any other
+is a truth table. A warning raised while loading the input, such as a
+dropped tautological clause, is one `warning:` line on stderr.
 
 Capacity defaults to 2^26 amplitudes; override with DISTGROVER_MAX_QUBITS.
 """
@@ -54,7 +54,7 @@ def _write(path, text: str, mode: str) -> None:
         with open(path, mode) as fh:
             fh.write(text)
     except (OSError, ValueError) as exc:     # ValueError: a NUL in the path
-        raise UsageError(f"cannot write {path}: {exc}") from None
+        raise UsageError(f"cannot write {str(path)!r}: {exc}") from None
 
 
 def cmd_grover(args, f: BooleanFunction) -> dict:
@@ -222,6 +222,8 @@ def main(argv=None) -> int:
     except DistGroverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except SystemExit as exc:       # -h/--help, after printing the usage
+        return exc.code
     except BrokenPipeError:
         # stdout closed early (`| head`): quiet the flush at exit as well
         with open(os.devnull, "w") as null:

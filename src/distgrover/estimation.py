@@ -9,9 +9,11 @@ the normalised good and bad states and rotates it by 2 theta, with
 sin^2 theta = t/2^n (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055). The
 reading-register distribution is therefore computed exactly on the m-qubit
 reading register tensored with that 2-D plane, so every confidence claim
-can be integrated rather than sampled. One estimation run charges 2^m - 1
-quantum queries (each Q contains one oracle call; the controlled powers
-apply it 1 + 2 + ... + 2^{m-1} times).
+can be integrated rather than sampled. The inverse QFT is one orthonormal
+FFT down the reading register: no 4^m matrix is built and no state is kept
+between runs. One estimation run charges 2^m - 1 quantum queries (each Q
+contains one oracle call; the controlled powers apply it
+1 + 2 + ... + 2^{m-1} times).
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from .oracle import BooleanFunction
 from .statevector import (MeasurementDistribution, StateVector,
                           apply_controlled_powers, apply_hadamard_all,
                           check_capacity, measurement_distribution, sample)
-
-_QFT_CACHE: dict[int, np.ndarray] = {}
-
 
 @dataclass(frozen=True)
 class CountEstimate:
@@ -61,19 +60,12 @@ class QOperator:
         mat[:] = mat @ self.rotation.T
 
 
-def _qft_matrix(width: int) -> np.ndarray:
-    if width not in _QFT_CACHE:
-        dim = 1 << width
-        jk = np.outer(np.arange(dim), np.arange(dim))
-        _QFT_CACHE[width] = np.exp(-2j * np.pi * jk / dim) / math.sqrt(dim)
-    return _QFT_CACHE[width]
-
-
 def apply_qft(state: StateVector, width: int) -> StateVector:
-    """Exact inverse QFT_{2^width} (dense matrix) on the leading `width`
-    qubits."""
+    """Exact inverse QFT_{2^width} on the leading `width` qubits, as one
+    orthonormal FFT of each target column: y gets
+    sum_j e^(-2 pi i jy/M) x_j / sqrt(M), with M = 2^width."""
     arr = state.amps.reshape(1 << width, -1)
-    state.amps = (_qft_matrix(width) @ arr).reshape(-1)
+    state.amps = np.fft.fft(arr, axis=0, norm="ortho").reshape(-1)
     return state
 
 
@@ -83,8 +75,8 @@ def est_amp_distribution(f: BooleanFunction,
     prepared in the uniform superposition."""
     if m < 1:
         raise UsageError("precision qubits m must be >= 1")
-    # the inverse QFT matrix holds 4^m entries, which subsumes the
-    # 2^(m+1) amplitudes of the state
+    # the controlled powers push 2^m (2^m - 1)/2 rows through Q, so the work
+    # grows as 4^m; checking 2m qubits bounds it (and the 2^(m+1) amplitudes)
     check_capacity(2 * m)
     q = QOperator(f)
     state = StateVector(m + 1, np.zeros(2 << m, dtype=np.complex128))

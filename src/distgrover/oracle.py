@@ -51,7 +51,7 @@ def read_text(path) -> str:
     try:
         data = Path(path).read_bytes()
     except (OSError, ValueError) as exc:     # ValueError: a NUL in the path
-        raise UsageError(f"cannot read {path}: {exc}") from None
+        raise UsageError(f"cannot read {str(path)!r}: {exc}") from None
     try:
         return data.decode()
     except UnicodeDecodeError as exc:

@@ -81,6 +81,15 @@ def test_unreadable_input_is_usage_error(tmp_path, capsys):
                  "--a", "1"]) == 1
 
 
+def test_help_prints_usage_and_returns_0(capsys):
+    for argv, usage in ((["--help"], "usage: distgrover [-h]"),
+                        (["grover", "-h"], "usage: distgrover grover")):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(usage)
+        assert captured.err == ""
+
+
 def test_path_with_a_nul_byte_is_usage_error(tmp_path, capsys):
     path = write_table(tmp_path, 3, [1])
     cnf = tmp_path / "f.cnf"
@@ -92,6 +101,7 @@ def test_path_with_a_nul_byte_is_usage_error(tmp_path, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot ")
+        assert "\0" not in captured.err     # the path is printed as a repr
         assert captured.out == ""
 
 
@@ -283,7 +293,8 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
 
 def test_count_capacity_is_the_reading_register(tmp_path, capsys,
                                                 monkeypatch):
-    # the reading register's 4^m QFT matrix is budgeted, not 2^(m+n)
+    # the reading register's 4^m controlled-powers work is budgeted, not
+    # 2^(m+n) amplitudes
     monkeypatch.setenv("DISTGROVER_MAX_QUBITS", "8")
     small = write_table(tmp_path, 2, [1], name="small.table")
     assert main(["count", "--input", str(small), "--grid", "32"]) == 3

@@ -1,9 +1,11 @@
 """Property tests: no input ends `cli.main` in a traceback.
 
 Table text, DIMACS text and argv are drawn with `hypothesis` and run
-through `cli.main` in-process. Every call must return exit code 0, 1, 2 or
-3 (argparse's help exits 0); a non-zero exit prints an `error:` line, a
-zero exit prints one JSON report, and stderr never holds a traceback.
+through `cli.main` in-process; every subcommand also runs under each of a
+set of bad or odd DISTGROVER_MAX_QUBITS values. Every call must return exit
+code 0, 1, 2 or 3; a non-zero exit prints an `error:` line, a zero exit
+prints one JSON report (or, when the argv asks for help, the usage), and
+stderr never holds a traceback.
 Because the parser is built once per process, each fuzzed call is followed
 by one fixed valid `grover` call whose report must not change apart from
 `duration_seconds`.
@@ -44,12 +46,15 @@ def _call(argv):
     """(exit code, stdout, stderr) of one in-process `main` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:       # only argparse's --help exits
-            assert "-h" in argv or "--help" in argv, argv
-            return exc.code, None, err.getvalue()
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _asks_for_help(argv):
+    # -h, -h joined with more short flags, or any abbreviation of --help
+    return any(token.startswith("-h") or len(token) > 2
+               and "--help".startswith(token.partition("=")[0])
+               for token in argv)
 
 
 def _check(argv):
@@ -60,7 +65,10 @@ def _check(argv):
     if code:
         assert any(line.startswith("error: ") for line in lines), (argv, err)
         assert out == "", argv
-    elif out is not None:
+    elif out.startswith("usage: distgrover"):
+        assert _asks_for_help(argv), argv
+        assert err == "", (argv, err)
+    else:
         assert all(line.startswith("warning: ") for line in lines), err
         assert json.loads(out)["command"] == argv[0]
 
@@ -188,3 +196,25 @@ def test_fuzzed_argv_never_crashes(workspace, command, required, flags):
     argv = [command] + (REQUIRED.get(command, []) if required else []) + [
         token for flag in flags for token in flag]
     _check_then_fixed(workspace, argv)
+
+
+# small calls only: the workspace's 4-variable inputs and a grid of at most
+# 64, so even an unbounded capacity allocates little
+ENV_ARGV = [["grover", "--input", "f.table", "--a", "2"],
+            ["grover", "--input", "f.cnf", "--a", "1", "--oracle",
+             "compiled"],
+            ["count", "--input", "f.table"],
+            ["count", "--input", "f.cnf", "--grid", "64"],
+            ["dist-serial", "--input", "f.table", "--k", "1", "--a", "2"],
+            ["dist-parallel", "--input", "f.cnf", "--k", "2", "--a", "1"],
+            ["compile", "--input", "f.cnf", "--out", "out.ir"]]
+
+
+@pytest.mark.parametrize("value", ["", "abc", "-1", "0", "1.5", " 12 ",
+                                   "99999999999999999999"])
+def test_odd_max_qubits_never_crashes(workspace, value):
+    for argv in ENV_ARGV:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("DISTGROVER_MAX_QUBITS", value)
+            _check(argv)
+        assert _fixed_report(workspace[1]) == workspace[2], (value, argv)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ def test_distribution_matches_closed_form():
         sim = est_amp_distribution(f, m).probabilities
         oracle = closed_form_count_distribution(t / (1 << n), m)
         assert np.abs(sim - oracle).max() < 1e-12
+
+
+def test_m12_distribution_matches_closed_form_in_little_memory():
+    # the inverse QFT is one FFT: no 4^m matrix (640 MiB at m = 12) is built
+    tracemalloc.start()
+    try:
+        p = est_amp_distribution(marked_function(4, [3]), 12).probabilities
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(p - closed_form_count_distribution(1 / 16, 12)).max() \
+        <= 1e-12
+    assert peak < 4 << 20
 
 
 def test_distribution_mirror_symmetry():

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in src/ and tests/ is used, every
-module-level private name in src/distgrover/ is referenced, and every
-parameter of a function in src/distgrover/ is read.
+module-level private name in src/distgrover/ is referenced, every
+parameter of a function in src/distgrover/ is read, and no function in
+src/distgrover/ stores into a module-level container.
 
 Stdlib `ast` scans standing in for a linter's unused-import, dead-code and
 unused-argument rules. For imports, package `__init__.py` files are skipped
@@ -11,7 +12,12 @@ module-level `_name` bound by def, class or assignment; dunders excluded)
 counts as referenced when any module in src/ loads it, reads it as an
 attribute or imports it. A parameter (of a def or a lambda; `self`, `cls`
 and `_`-prefixed names excluded) counts as read when its name is loaded
-anywhere in the function, nested functions included.
+anywhere in the function, nested functions included. A module-level
+container is a name bound by a top-level assignment; a function stores into
+it by a subscript store or delete (`_CACHE[k] = v`) or by calling one of
+its mutating methods (`_CACHE.setdefault(k, v)`), unless the function binds
+that name itself. Only reads of module-level names are allowed, so no call
+leaves state behind for the next one.
 """
 
 from __future__ import annotations
@@ -127,16 +133,21 @@ def test_scan_flags_a_dead_private_helper():
                                               "a.py:5: _Gone"]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _parameters(func) -> list[str]:
+    spec = func.args
+    return [a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs
+            + [spec.vararg, spec.kwarg] if a is not None]
+
+
 def _unused_parameters(tree: ast.Module) -> list[tuple[int, str]]:
     problems = []
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
+        if not isinstance(node, FUNCTIONS):
             continue
-        spec = node.args
-        params = [a.arg for a in spec.posonlyargs + spec.args
-                  + spec.kwonlyargs + [spec.vararg, spec.kwarg]
-                  if a is not None]
+        params = _parameters(node)
         read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
                 and not isinstance(n.ctx, ast.Store)}
         problems += [(node.lineno, name) for name in params
@@ -166,3 +177,82 @@ def test_scan_flags_an_unused_parameter():
                      "        return inner\n"
                      "f = lambda a, b: a\n")
     assert _unused_parameters(tree) == [(2, "unused"), (9, "b")]
+
+
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove",
+            "clear", "update", "setdefault", "add", "discard", "sort",
+            "reverse", "difference_update", "intersection_update",
+            "symmetric_difference_update"}
+
+
+def _outermost_functions(node: ast.AST):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCTIONS):
+            yield child
+        else:
+            yield from _outermost_functions(child)
+
+
+def _module_state_stores(tree: ast.Module) -> list[tuple[int, str]]:
+    module_names = {target.id for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in (node.targets if isinstance(
+                        node, ast.Assign) else [node.target])
+                    if isinstance(target, ast.Name)}
+    problems = set()
+    for func in _outermost_functions(tree):
+        nodes = list(ast.walk(func))
+        bound = {name for n in nodes if isinstance(n, FUNCTIONS)
+                 for name in _parameters(n)}
+        bound |= {n.id for n in nodes if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Store)}
+        declared = {name for n in nodes if isinstance(n, ast.Global)
+                    for name in n.names}
+        shared = (module_names - bound) | (module_names & declared)
+        for n in nodes:
+            if isinstance(n, ast.Subscript) and \
+                    not isinstance(n.ctx, ast.Load):
+                target = n.value
+            elif isinstance(n, ast.Call) and \
+                    isinstance(n.func, ast.Attribute) and \
+                    n.func.attr in MUTATORS:
+                target = n.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in shared:
+                problems.add((n.lineno, target.id))
+    return sorted(problems)
+
+
+def test_no_stores_into_module_state():
+    files = sorted((ROOT / "src" / "distgrover").rglob("*.py"))
+    assert files
+    problems = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                for path in files
+                for line, name in _module_state_stores(ast.parse(
+                    path.read_text()))]
+    assert not problems, "stores into module state:\n" + "\n".join(problems)
+
+
+def test_scan_flags_a_store_into_module_state():
+    tree = ast.parse("_CACHE = {}\nSEEN: list = []\n_BITS = {0: '0'}\n"
+                     "def f(k):\n"
+                     "    _CACHE[k] = _BITS[k]\n"
+                     "    return _BITS.get(k)\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        SEEN.append(1)\n"
+                     "        self.d = {}\n"
+                     "        self.d['x'] = 1\n"
+                     "def g(_CACHE, SEEN=None):\n"
+                     "    _CACHE.update(a=1)\n"
+                     "    SEEN = []\n"
+                     "    SEEN.append(1)\n"
+                     "def h():\n"
+                     "    def inner():\n"
+                     "        del _CACHE[1]\n"
+                     "    return inner\n"
+                     "k = lambda: SEEN.clear()\n"
+                     "_CACHE[0] = 0\n")
+    assert _module_state_stores(tree) == [(5, "_CACHE"), (9, "SEEN"),
+                                          (18, "_CACHE"), (20, "SEEN")]
