@@ -10,9 +10,8 @@ from .distributed import (CandidateSet, DistOutcome, build_candidate_set,
                           run_serial, threshold_t_a, worst_case_query_bound)
 from .errors import (CapacityError, DistGroverError, InvariantError,
                      NotCompilableError, ParseError, UsageError)
-from .estimation import (CountEstimate, QOperator, relaxed_error_bound,
-                         count_error_bound, counting_grid_for,
-                         est_amp_distribution, run_count, run_est_amp)
+from .estimation import (CountEstimate, QOperator, counting_grid_for,
+                         est_amp_distribution, relaxed_error_bound, run_count)
 from .grover import (Evolution, GroverOutcome, apply_grover_iterate,
                      grover_iterations, run_grover, success_probability)
 from .ledger import QueryLedger

@@ -65,7 +65,7 @@ def cmd_grover(args, f: BooleanFunction) -> dict:
         "parameters": {"n": n, "a": args.a, "seed": args.seed,
                        "oracle": args.oracle},
         "outcome": {
-            "measured_x": outcome.measured_bits(n),
+            "measured_x": format(outcome.measured_x, f"0{n}b"),
             "is_solution": bool(outcome.is_solution),
             "iterations": grover.grover_iterations(n, args.a),
             "predicted_success": grover.success_probability(n, args.a),
@@ -110,7 +110,8 @@ def cmd_dist(args, f: BooleanFunction) -> dict:
         "parameters": {"n": n, "k": args.k, "a": args.a, "seed": args.seed},
         "outcome": {
             "status": outcome.status,
-            "solution": outcome.solution_bits(n),
+            "solution": None if outcome.solution is None
+            else format(outcome.solution, f"0{n}b"),
             "found_by_machine": outcome.found_by_machine,
             "total_quantum": outcome.total_quantum,
             "total_classical": outcome.total_classical,

@@ -36,9 +36,7 @@ from .seeding import derive
 @dataclass(frozen=True)
 class CandidateSet:
     estimate: int
-    t_a: int
     candidates: tuple[int, ...]
-    is_constant_zero: bool
 
 
 @dataclass
@@ -63,10 +61,6 @@ class DistOutcome:
     total_classical: int
     parallel_depth: int
     serial_total: int
-
-    def solution_bits(self, n: int) -> str | None:
-        return None if self.solution is None else format(self.solution,
-                                                         f"0{n}b")
 
 
 def _check_split(n: int, k: int) -> None:
@@ -113,9 +107,8 @@ def build_candidate_set(f_i: BooleanFunction, a: int, seed: int,
     estimate = run_count(f_i, grid, seed, ledger).t_prime_rounded
     t_a = threshold_t_a(a)
     if estimate == 0 and f_i.solution_count() == 0:
-        return CandidateSet(estimate, t_a, (), True)
-    return CandidateSet(estimate, t_a,
-                        candidate_window(estimate, t_a, sub_arity), False)
+        return CandidateSet(estimate, ())
+    return CandidateSet(estimate, candidate_window(estimate, t_a, sub_arity))
 
 
 def _finalize(status: str, solution: int | None, winner: int | None,

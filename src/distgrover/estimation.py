@@ -11,9 +11,9 @@ reading-register distribution is therefore computed exactly on the m-qubit
 reading register tensored with that 2-D plane, so every confidence claim
 can be integrated rather than sampled. The inverse QFT is one orthonormal
 FFT down the reading register: no 4^m matrix is built and no state is kept
-between runs. One estimation run charges 2^m - 1 quantum queries (each Q
-contains one oracle call; the controlled powers apply it
-1 + 2 + ... + 2^{m-1} times).
+between runs. `run_count` samples one outcome and charges its 2^m - 1
+quantum queries under "counting" (each Q contains one oracle call; the
+controlled powers apply it 1 + 2 + ... + 2^{m-1} times).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class QOperator:
     The start vector is (sqrt(t/N), sqrt((N - t)/N)) and Q is the rotation
     [[c, s], [-s, c]] with c = (N - 2t)/N and s = 2 sqrt(t(N - t))/N. Reading
     t is simulator bookkeeping: no algorithm decision uses it, and the
-    queries are charged per run by `run_est_amp`."""
+    queries are charged per run by `run_count`."""
 
     def __init__(self, f: BooleanFunction):
         big_n, t = 1 << f.arity, f.solution_count()
@@ -84,40 +84,24 @@ def est_amp_distribution(f: BooleanFunction,
     control = range(0, m)
     # the forward QFT of |0> on the reading register is H^m |0>
     apply_hadamard_all(state, control)
-    apply_controlled_powers(state, control, q.apply_batch)
+    apply_controlled_powers(state, m, q.apply_batch)
     apply_qft(state, m)
     return measurement_distribution(state, control)
 
 
-def run_est_amp(f: BooleanFunction, m: int, seed: int,
-                ledger: QueryLedger) -> CountEstimate:
-    """Sample one estimation outcome; charges 2^m - 1 quantum queries."""
-    distribution = est_amp_distribution(f, m)
-    y = sample(distribution, seed)
-    ledger.add_quantum((1 << m) - 1, phase="counting")
-    a_tilde = math.sin(math.pi * y / (1 << m)) ** 2
+def run_count(f: BooleanFunction, grid: int, seed: int,
+              ledger: QueryLedger) -> CountEstimate:
+    """Quantum counting: sample one estimation outcome y on an m-qubit
+    reading register, grid = 2^m, and charge grid - 1 quantum queries under
+    "counting". Output t' = 2^n sin^2(pi y / grid), rounded half-up."""
+    if grid < 2 or grid & (grid - 1):
+        raise UsageError(f"grid {grid} is not a power of two >= 2")
+    y = sample(est_amp_distribution(f, grid.bit_length() - 1), seed)
+    ledger.add_quantum(grid - 1, "counting")
+    a_tilde = math.sin(math.pi * y / grid) ** 2
     t_prime = (1 << f.arity) * a_tilde
     return CountEstimate(y=y, a_tilde=a_tilde, t_prime=t_prime,
                          t_prime_rounded=int(math.floor(t_prime + 0.5)))
-
-
-def run_count(f: BooleanFunction, grid: int, seed: int,
-              ledger: QueryLedger) -> CountEstimate:
-    """Quantum counting: estimation with uniform preparation, output
-    t' = 2^n sin^2(pi y / grid), rounded half-up to an integer."""
-    if grid < 2 or grid & (grid - 1):
-        raise UsageError(f"grid {grid} is not a power of two >= 2")
-    return run_est_amp(f, grid.bit_length() - 1, seed, ledger)
-
-
-def count_error_bound(t: int, n: int, m: int, k: int) -> float:
-    """|t' - t| bound: 2 pi k sqrt(t(2^n - t))/2^m + k^2 pi^2 2^n / 2^{2m}."""
-    if k < 1:
-        raise UsageError("confidence parameter k must be >= 1")
-    big_n = 1 << n
-    grid = 1 << m
-    return (2.0 * math.pi * k * math.sqrt(t * (big_n - t)) / grid
-            + k * k * math.pi ** 2 * big_n / (grid * grid))
 
 
 def relaxed_error_bound(t: int, n: int) -> float:

@@ -31,9 +31,6 @@ class GroverOutcome:
     measured_x: int
     is_solution: int
 
-    def measured_bits(self, arity: int) -> str:
-        return format(self.measured_x, f"0{arity}b")
-
 
 def grover_iterations(n: int, a: int) -> int:
     """floor(pi/4 * sqrt(2^n / a))."""
@@ -117,5 +114,5 @@ def run_grover(f: BooleanFunction, assumed_a: int, seed: int,
     measured = sample(evolution.distribution(iterations), seed)
     if iterations:
         ledger.add_quantum(iterations, "oracle")
-    is_solution = f.evaluate(measured, ledger, phase="verify")
+    is_solution = f.evaluate(measured, ledger)
     return GroverOutcome(measured_x=measured, is_solution=is_solution)

@@ -14,17 +14,17 @@ class QueryLedger:
         self.classical_queries = 0
         self.breakdown: dict[str, int] = {}
 
-    def add_quantum(self, count: int, phase: str = "quantum") -> None:
+    def add_quantum(self, count: int, phase: str) -> None:
         if count < 0:
             raise ValueError("query counts are monotone")
         self.quantum_queries += count
         self.breakdown[phase] = self.breakdown.get(phase, 0) + count
 
-    def add_classical(self, count: int, phase: str = "verify") -> None:
+    def add_classical(self, count: int) -> None:
         if count < 0:
             raise ValueError("query counts are monotone")
         self.classical_queries += count
-        self.breakdown[phase] = self.breakdown.get(phase, 0) + count
+        self.breakdown["verify"] = self.breakdown.get("verify", 0) + count
 
     @property
     def total(self) -> int:
@@ -38,6 +38,3 @@ class QueryLedger:
             "breakdown": dict(self.breakdown),
         }
 
-    def __repr__(self) -> str:
-        return (f"QueryLedger(quantum={self.quantum_queries}, "
-                f"classical={self.classical_queries})")

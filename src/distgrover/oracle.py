@@ -6,7 +6,9 @@ CNF formula it came from, if any, which `restrict` restricts. The table comes
 from an explicit table, a constant, a CNF formula evaluated directly, or the
 diagonal of the formula's compiled oracle circuit (see the `compiler`
 module). The phase oracle Z_f flips the sign of basis states with f(x) = 1
-and charges exactly one quantum query per application regardless of arity.
+and charges nothing itself: `grover.run_grover` charges a shot's k oracle
+queries, `estimation.run_count` a counting run's grid - 1, and `evaluate`
+one classical query per call given a ledger.
 
 An input x is a basis index of any integer type (Python or NumPy; variable
 1 / qubit 0 is the most significant bit) or its bits: a string of "0"/"1"
@@ -23,11 +25,10 @@ import numpy as np
 
 from . import cnf as cnfmod
 from .cnf import _as_bits
-from .errors import CapacityError, ParseError, UsageError
+from .errors import ParseError, UsageError
 from .ledger import QueryLedger
 from .statevector import (StateVector, _check_norm, _check_register,
-                          _split_shape, apply_diagonal_phase, check_capacity,
-                          max_qubits)
+                          _split_shape, apply_diagonal_phase, check_capacity)
 
 
 def _as_index(x, arity: int) -> int:
@@ -147,19 +148,16 @@ class BooleanFunction:
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate(self, x, ledger: QueryLedger | None = None,
-                 phase: str = "verify") -> int:
+    def evaluate(self, x, ledger: QueryLedger | None = None) -> int:
         """Classical f(x); charges one classical query when a ledger is given."""
         index = _as_index(x, self.arity)
         if ledger is not None:
-            ledger.add_classical(1, phase)
+            ledger.add_classical(1)
         return int(self.truth_values()[index])
 
     def truth_values(self) -> np.ndarray:
         """All 2^n values; a test-harness oracle, never charged as queries."""
-        if self.arity > max_qubits():
-            raise CapacityError(f"arity {self.arity} exceeds exhaustive-"
-                                "evaluation capacity")
+        check_capacity(self.arity)
         if self._truth_cache is None:
             self._truth_cache = self._build(self.formula)
         return self._truth_cache
@@ -175,16 +173,14 @@ class BooleanFunction:
 
     # -- quantum surface ---------------------------------------------------
 
-    def apply_phase_oracle(self, state: StateVector, register: range,
-                           ledger: QueryLedger | None = None) -> StateVector:
-        """Z_f on `register`: one quantum query."""
+    def apply_phase_oracle(self, state: StateVector,
+                           register: range) -> StateVector:
+        """Z_f on `register`. Charges nothing: the caller's ledger counts
+        the query (see `grover.run_grover`)."""
         if len(register) != self.arity:
             raise UsageError(f"register width {len(register)} does not match "
                              f"arity {self.arity}")
-        apply_diagonal_phase(state, register, self.phase_signs())
-        if ledger is not None:
-            ledger.add_quantum(1, phase="oracle")
-        return state
+        return apply_diagonal_phase(state, register, self.phase_signs())
 
     # -- decomposition ------------------------------------------------------
 

@@ -30,20 +30,17 @@ NORM_TOL = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def max_qubits() -> int:
-    """Amplitude-array capacity; override with DISTGROVER_MAX_QUBITS."""
-    raw = os.environ.get("DISTGROVER_MAX_QUBITS")
-    if not raw:
-        return DEFAULT_MAX_QUBITS
+def check_capacity(qubit_count: int) -> None:
+    """Raise CapacityError past the amplitude-array cap: 26 qubits, or
+    DISTGROVER_MAX_QUBITS, which must be an integer >= 1 (UsageError)."""
+    raw = os.environ.get("DISTGROVER_MAX_QUBITS") or str(DEFAULT_MAX_QUBITS)
     try:
-        return int(raw)
+        limit = int(raw)
+        if limit < 1:
+            raise ValueError
     except ValueError:
         raise UsageError(f"DISTGROVER_MAX_QUBITS={raw!r} is not an "
-                         "integer") from None
-
-
-def check_capacity(qubit_count: int) -> None:
-    limit = max_qubits()
+                         "integer >= 1") from None
     if qubit_count > limit:
         raise CapacityError(
             f"{qubit_count} qubits exceed the supported limit of {limit}")
@@ -174,26 +171,22 @@ def apply_diagonal_phase(state: StateVector, register: range,
     return _check_norm(state)
 
 
-def apply_controlled_powers(state: StateVector, control_register: range,
+def apply_controlled_powers(state: StateVector, width: int,
                             apply_batch) -> StateVector:
-    """For each control basis value j, apply U j times to the conditional
-    target branch: |j>|psi> -> |j>(U^j |psi>).
+    """For each value j of the leading `width` qubits, the control register,
+    apply U j times to the conditional target branch:
+    |j>|psi> -> |j>(U^j |psi>).
 
-    The control register must be the leading qubits; the target register is
-    the rest. `apply_batch` applies U in place to every row of a contiguous
-    (rows, 2^target) block of target branches. Queries are charged by the
-    caller, not here.
+    The target register is the rest. `apply_batch` applies U in place to
+    every row of a contiguous (rows, 2^target) block of target branches.
+    Queries are charged by the caller, not here.
     """
-    q = state.qubit_count
-    _check_register(q, control_register)
-    if control_register.start != 0:
-        raise UsageError("control register must be the leading qubits")
-    m = len(control_register)
-    if m >= q:
-        raise UsageError("control register must leave a non-empty target")
-    mat = state.amps.reshape(1 << m, -1)
+    if not 1 <= width < state.qubit_count:
+        raise UsageError(f"control width {width} must leave a non-empty "
+                         f"target in {state.qubit_count} qubits")
+    mat = state.amps.reshape(1 << width, -1)
     # branch j has had U applied r times once all rounds r <= j ran
-    for r in range(1, 1 << m):
+    for r in range(1, 1 << width):
         apply_batch(mat[r:])
     return _check_norm(state)
 

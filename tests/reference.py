@@ -65,7 +65,8 @@ def reference_run_grover(f: BooleanFunction, assumed_a: int, seed: int,
     register = range(0, n)
     state = apply_hadamard_all(init_basis(n, 0), register)
     for _ in range(grover_iterations(n, assumed_a)):
-        f.apply_phase_oracle(state, register, ledger)
+        f.apply_phase_oracle(state, register)
+        ledger.add_quantum(1, "oracle")
         apply_hadamard_all(state, register)
         apply_zero_reflection(state, register)
         apply_hadamard_all(state, register)
@@ -129,6 +130,6 @@ def est_amp_distribution(f: BooleanFunction,
     apply_hadamard_all(state, target)
     control = range(0, m)
     apply_qft(state, control)
-    apply_controlled_powers(state, control, DenseQOperator(f).apply_batch)
+    apply_controlled_powers(state, m, DenseQOperator(f).apply_batch)
     apply_qft(state, control, inverse=True)
     return measurement_distribution(state, control)

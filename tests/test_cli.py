@@ -153,6 +153,27 @@ def test_bad_max_qubits_env_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "DISTGROVER_MAX_QUBITS" in capsys.readouterr().err
 
 
+def test_nonpositive_max_qubits_env_is_usage_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # a cap below 1 is a bad value, not a capacity every input exceeds;
+    # compile allocates nothing sized by the cap, so it ignores the variable
+    table = write_table(tmp_path, 3, [1])
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    for value in ("0", "-1"):
+        monkeypatch.setenv("DISTGROVER_MAX_QUBITS", value)
+        for argv in (["grover", "--a", "1"], ["count"],
+                     ["dist-serial", "--k", "1", "--a", "1"],
+                     ["dist-parallel", "--k", "1", "--a", "1"]):
+            for path in (table, cnf):
+                assert main(argv + ["--input", str(path)]) == 1, argv
+                err = capsys.readouterr().err
+                assert err.startswith("error: DISTGROVER_MAX_QUBITS="), err
+        assert main(["compile", "--input", str(cnf),
+                     "--out", str(tmp_path / "f.ir")]) == 0
+        capsys.readouterr()
+
+
 def test_capacity_exit_code(tmp_path, capsys, monkeypatch):
     path = write_table(tmp_path, 6, [3])
     monkeypatch.setenv("DISTGROVER_MAX_QUBITS", "4")

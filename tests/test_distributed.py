@@ -69,11 +69,16 @@ def test_candidate_set_constant_zero_stops():
     f_i = marked_function(4, [])
     ledger = QueryLedger()
     cs = build_candidate_set(f_i, 2, 7, ledger)
-    assert cs.is_constant_zero
     assert cs.candidates == ()
     assert cs.estimate == 0
     # counting was still charged
     assert ledger.quantum_queries > 0
+
+
+def test_candidate_set_rejects_a_below_1_when_constant_zero():
+    # the constant-zero branch builds no window, but a is still checked
+    with pytest.raises(UsageError):
+        build_candidate_set(marked_function(4, []), 0, 1, QueryLedger())
 
 
 def test_candidate_set_zero_estimate_nonconstant_keeps_window():
@@ -81,10 +86,9 @@ def test_candidate_set_zero_estimate_nonconstant_keeps_window():
     # must survive because the subfunction is not constant zero
     f_i = marked_function(7, [100])
     cs = build_candidate_set(f_i, 1, 3, QueryLedger())
-    assert not cs.is_constant_zero
-    assert cs.candidates
+    assert cs.candidates != ()
     assert cs.candidates[0] == 1
-    assert len(cs.candidates) <= 2 * cs.t_a + 1
+    assert len(cs.candidates) <= 2 * threshold_t_a(1) + 1
 
 
 def test_sweeps_try_largest_first_and_verify_every_shot(rng):
@@ -129,7 +133,6 @@ def test_serial_finds_unique_solution():
     assert out.status == "found"
     assert out.solution == target
     assert out.found_by_machine == target & ((1 << k) - 1)
-    assert out.solution_bits(n) == format(target, f"0{n}b")
     assert out.serial_total == out.total_quantum + out.total_classical
 
 
@@ -142,7 +145,7 @@ def test_serial_stops_after_first_swept_machine():
     assert out.found_by_machine == 1
     # machine 0 only counted (constant zero -> empty set, no sweep)
     m0 = out.machines[0]
-    assert m0.candidate_set.is_constant_zero
+    assert m0.candidate_set.candidates == ()
     assert m0.attempts == []
 
 
@@ -151,7 +154,7 @@ def test_serial_not_found_on_constant_zero():
     out = run_serial(f, 2, 1, seed=1)
     assert out.status == "not_found"
     assert out.solution is None
-    assert all(m.candidate_set.is_constant_zero for m in out.machines)
+    assert all(m.candidate_set.candidates == () for m in out.machines)
 
 
 def test_parallel_finds_and_reports_depth():

@@ -6,9 +6,8 @@ import pytest
 
 from distgrover import (BooleanFunction, QOperator, QueryLedger, UsageError,
                         apply_grover_iterate, apply_hadamard_all,
-                        relaxed_error_bound, count_error_bound,
                         counting_grid_for, est_amp_distribution, init_basis,
-                        run_count, run_est_amp)
+                        relaxed_error_bound, run_count)
 from distgrover.statevector import StateVector
 
 from conftest import (closed_form_count_distribution, first_k_marked,
@@ -181,12 +180,12 @@ def test_n4_t4_m3_concentrates_on_exact_outcomes():
 def test_run_est_amp_endpoints_and_queries():
     f = BooleanFunction.constant(4, 0)
     ledger = QueryLedger()
-    est = run_est_amp(f, 4, 0, ledger)
+    est = run_count(f, 16, 0, ledger)
     assert est.a_tilde == 0.0 and est.y == 0
     assert ledger.quantum_queries == 15
 
     f = BooleanFunction.constant(4, 1)
-    est = run_est_amp(f, 3, 0, QueryLedger())
+    est = run_count(f, 8, 0, QueryLedger())
     assert est.y == 4 and est.a_tilde == pytest.approx(1.0)
 
 
@@ -209,15 +208,6 @@ def test_run_count_query_accounting():
 def test_run_count_rejects_bad_grid():
     with pytest.raises(UsageError):
         run_count(first_k_marked(3, 1), 6, 0, QueryLedger())
-
-
-def test_count_error_bound_values():
-    assert count_error_bound(0, 4, 4, 1) == pytest.approx(
-        math.pi ** 2 * 16 / 256)
-    assert count_error_bound(8, 4, 4, 1) == pytest.approx(
-        math.pi + math.pi ** 2 / 16)
-    with pytest.raises(UsageError):
-        count_error_bound(1, 4, 4, 0)
 
 
 def test_relaxed_bound_value():

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in src/ and tests/ is used, every
 module-level private name in src/distgrover/ is referenced, every
 parameter of a function in src/distgrover/ is read, and no function in
-src/distgrover/ stores into a module-level container.
+src/distgrover/ stores into a module-level container, and each of three
+concerns lives in the modules that own it.
 
 Stdlib `ast` scans standing in for a linter's unused-import, dead-code and
 unused-argument rules. For imports, package `__init__.py` files are skipped
@@ -17,7 +18,11 @@ container is a name bound by a top-level assignment; a function stores into
 it by a subscript store or delete (`_CACHE[k] = v`) or by calling one of
 its mutating methods (`_CACHE.setdefault(k, v)`), unless the function binds
 that name itself. Only reads of module-level names are allowed, so no call
-leaves state behind for the next one.
+leaves state behind for the next one. Ownership: only `statevector.py`
+reads the environment (`os.environ` or `os.getenv`) and constructs
+`CapacityError`, so the capacity check is one routine; only `grover.py` and
+`estimation.py` call `.add_quantum`, so each quantum query is charged once,
+by the run that spends it.
 """
 
 from __future__ import annotations
@@ -256,3 +261,62 @@ def test_scan_flags_a_store_into_module_state():
                      "_CACHE[0] = 0\n")
     assert _module_state_stores(tree) == [(5, "_CACHE"), (9, "SEEN"),
                                           (18, "_CACHE"), (20, "SEEN")]
+
+
+# concern -> the modules of src/distgrover/ allowed to touch it
+OWNERS = {"os.environ": {"statevector.py"},
+          "CapacityError()": {"statevector.py"},
+          ".add_quantum()": {"grover.py", "estimation.py"}}
+
+
+def _owned_uses(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                node.attr in ("environ", "getenv"):
+            yield node.lineno, "os.environ"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and \
+                {"environ", "getenv"} & {a.name for a in node.names}:
+            yield node.lineno, "os.environ"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name == "CapacityError":
+                yield node.lineno, "CapacityError()"
+            elif name == "add_quantum" and isinstance(func, ast.Attribute):
+                yield node.lineno, ".add_quantum()"
+
+
+def _ownership_violations(modules: dict) -> list[str]:
+    return [f"{path}:{line}: {concern}"
+            for path, tree in modules.items()
+            for line, concern in sorted(set(_owned_uses(tree)))
+            if Path(path).name not in OWNERS[concern]]
+
+
+def test_each_concern_stays_with_its_owner():
+    modules = {str(path.relative_to(ROOT)): ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "distgrover").rglob("*.py"))}
+    assert modules
+    problems = _ownership_violations(modules)
+    assert not problems, "used outside its owning module:\n" + \
+        "\n".join(problems)
+
+
+def test_scan_flags_a_concern_outside_its_owner():
+    modules = {
+        "statevector.py": ast.parse(
+            "import os\nraw = os.environ.get('X')\n"
+            "raise errors.CapacityError('cap')\n"),
+        "grover.py": ast.parse("ledger.add_quantum(3, 'oracle')\n"),
+        "oracle.py": ast.parse(
+            "from os import getenv\nimport os\n"
+            "def f(ledger):\n"
+            "    ledger.add_quantum(1, 'oracle')\n"
+            "    add_quantum(1)\n"
+            "    raise CapacityError(os.getenv('X'))\n"
+            "except_types = (CapacityError,)\n"),
+    }
+    assert _ownership_violations(modules) == [
+        "oracle.py:1: os.environ", "oracle.py:4: .add_quantum()",
+        "oracle.py:6: CapacityError()", "oracle.py:6: os.environ"]

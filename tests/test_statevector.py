@@ -113,12 +113,12 @@ def _z_transform(block):
 def test_controlled_powers_examples():
     # m=1, control |0>: target untouched
     s = init_basis(2, 1)  # control=0, target=|1>
-    apply_controlled_powers(s, range(0, 1), _z_transform)
+    apply_controlled_powers(s, 1, _z_transform)
     assert np.allclose(s.amps, init_basis(2, 1).amps)
 
     # m=2, control |11> (j=3), Z^3 = Z on target |1>
     s = init_basis(3, 0b111)
-    apply_controlled_powers(s, range(0, 2), _z_transform)
+    apply_controlled_powers(s, 2, _z_transform)
     expected = np.zeros(8, dtype=complex)
     expected[0b111] = -1.0
     assert np.allclose(s.amps, expected)
@@ -139,7 +139,7 @@ def test_controlled_powers_matches_direct_powers():
     psi /= np.linalg.norm(psi)
     for j in range(1 << m):
         s = StateVector(m + rest, np.kron(init_basis(m, j).amps, psi))
-        apply_controlled_powers(s, range(0, m), u)
+        apply_controlled_powers(s, m, u)
         expected = psi.copy()
         for _ in range(j):
             u(expected.reshape(1, -1))
@@ -148,11 +148,13 @@ def test_controlled_powers_matches_direct_powers():
 
 
 def test_controlled_powers_register_not_leading():
-    # only a leading control register is supported
+    # the control register is the leading `width` qubits, and it must
+    # leave a non-empty target
     s = init_basis(3, 0b010)
-    with pytest.raises(UsageError):
-        apply_controlled_powers(s, range(1, 2), _z_transform)
-    assert np.allclose(s.amps, init_basis(3, 0b010).amps)
+    for width in (0, 3):
+        with pytest.raises(UsageError):
+            apply_controlled_powers(s, width, _z_transform)
+    assert np.array_equal(s.amps, init_basis(3, 0b010).amps)
 
 
 def test_measurement_distribution_examples():
@@ -191,5 +193,5 @@ def test_norm_preserved_after_operations():
     s = init_basis(4, 3)
     apply_hadamard_all(s, range(0, 4))
     apply_diagonal_phase(s, range(1, 3), [1, 1, -1, 1])
-    apply_controlled_powers(s, range(0, 2), _z_transform)
+    apply_controlled_powers(s, 2, _z_transform)
     assert abs(s.norm_squared() - 1.0) < 1e-9
