@@ -9,11 +9,14 @@ the normalised good and bad states and rotates it by 2 theta, with
 sin^2 theta = t/2^n (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055). The
 reading-register distribution is therefore computed exactly on the m-qubit
 reading register tensored with that 2-D plane, so every confidence claim
-can be integrated rather than sampled. The inverse QFT is one orthonormal
-FFT down the reading register: no 4^m matrix is built and no state is kept
-between runs. `run_count` samples one outcome and charges its 2^m - 1
-quantum queries under "counting" (each Q contains one oracle call; the
-controlled powers apply it 1 + 2 + ... + 2^{m-1} times).
+can be integrated rather than sampled. Every step before the inverse QFT is
+real (the Hadamard layer and the plane rotation), so the 2^(m+1) state is
+float64 and Q is a real matrix product. The inverse QFT is one orthonormal
+FFT down the reading register and the only step that returns complex
+amplitudes; no 4^m matrix is built and no state is kept between runs.
+`run_count` samples one outcome and charges its 2^m - 1 quantum queries
+under "counting" (each Q contains one oracle call; the controlled powers
+apply it 1 + 2 + ... + 2^{m-1} times).
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def est_amp_distribution(f: BooleanFunction,
     # grows as 4^m; checking 2m qubits bounds it (and the 2^(m+1) amplitudes)
     check_capacity(2 * m)
     q = QOperator(f)
-    state = StateVector(m + 1, np.zeros(2 << m, dtype=np.complex128))
+    state = StateVector(m + 1, np.zeros(2 << m))
     state.amps[:2] = q.start
     control = range(0, m)
     # the forward QFT of |0> on the reading register is H^m |0>

@@ -71,7 +71,7 @@ class Evolution:
     `distribution(k)` applies only the iterates beyond those already
     applied, restarts from the uniform start when asked for fewer, and
     returns the last distribution again when asked for the same k. It holds
-    one state and one distribution: 24 bytes per amplitude.
+    one real state and one distribution: 16 bytes per amplitude.
     """
 
     def __init__(self, f: BooleanFunction):

@@ -5,10 +5,17 @@ significant bit of a basis index, so for a q-qubit state the bit of qubit j
 in basis index i is ``(i >> (q - 1 - j)) & 1``. Registers are contiguous
 qubit ranges given as Python ``range`` objects.
 
+Amplitudes are float64 for as long as every operation applied to them is
+real: the basis start, Hadamard layers, ±1 phases, Z_0 and real rotations
+all are, so a Grover state takes 8 bytes per amplitude. Complex amplitudes
+appear only where an operation returns them (the inverse QFT's FFT in
+`estimation.apply_qft`); every kernel here works in place in the dtype it is
+given.
+
 Hadamard layers are in-place ±1 butterflies: qubits are taken two at a time
 as radix-4 butterflies (a trailing odd qubit as one radix-2 butterfly) on
 unnormalised sums, and a single 2^(-w/2) scale follows. A layer's scratch is
-three quarter-state arrays, allocated once per call.
+three quarter-state arrays of the state's dtype, allocated once per call.
 
 All operations preserve the norm to within 1e-9 (checked after every call)
 and are deterministic: there is no hidden global RNG; sampling takes an
@@ -49,7 +56,9 @@ def check_capacity(qubit_count: int) -> None:
 
 
 class StateVector:
-    """2^q complex amplitudes; qubit 0 is the MSB of the basis index."""
+    """2^q amplitudes, float64 while the state is real and complex128 after
+    an operation that makes it complex; qubit 0 is the MSB of the basis
+    index."""
 
     __slots__ = ("qubit_count", "amps")
 
@@ -107,13 +116,14 @@ def _check_norm(state: StateVector) -> StateVector:
 
 
 def init_basis(qubit_count: int, basis_index: int) -> StateVector:
-    """Computational basis state |basis_index> on `qubit_count` qubits."""
+    """Computational basis state |basis_index> on `qubit_count` qubits,
+    with real (float64) amplitudes."""
     check_capacity(qubit_count)
     dim = 1 << qubit_count
     if not 0 <= basis_index < dim:
         raise UsageError(f"basis index {basis_index} out of range for "
                          f"{qubit_count} qubits")
-    amps = np.zeros(dim, dtype=np.complex128)
+    amps = np.zeros(dim)
     amps[basis_index] = 1.0
     return StateVector(qubit_count, amps)
 

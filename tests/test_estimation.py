@@ -6,8 +6,8 @@ import pytest
 
 from distgrover import (BooleanFunction, QOperator, QueryLedger, UsageError,
                         apply_grover_iterate, apply_hadamard_all,
-                        counting_grid_for, est_amp_distribution, init_basis,
-                        relaxed_error_bound, run_count)
+                        counting_grid_for, est_amp_distribution, estimation,
+                        init_basis, relaxed_error_bound, run_count)
 from distgrover.statevector import StateVector
 
 from conftest import (closed_form_count_distribution, first_k_marked,
@@ -143,6 +143,26 @@ def test_distribution_matches_closed_form():
         sim = est_amp_distribution(f, m).probabilities
         oracle = closed_form_count_distribution(t / (1 << n), m)
         assert np.abs(sim - oracle).max() < 1e-12
+
+
+def test_real_start_matches_a_complex_start(monkeypatch):
+    # the plane state is real until the inverse QFT; started as complex128
+    # instead, the distribution moves by rounding only, and both match the
+    # closed form
+    real = {}
+    for n in range(1, 13):
+        big_n = 1 << n
+        for t in sorted({0, 1, 2, big_n // 3, big_n - 1, big_n}):
+            for m in range(1, 8):
+                real[n, t, m] = est_amp_distribution(first_k_marked(n, t), m)
+    monkeypatch.setattr(estimation, "StateVector", lambda q, amps:
+                        StateVector(q, amps.astype(np.complex128)))
+    for (n, t, m), dist in real.items():
+        p = dist.probabilities
+        q = est_amp_distribution(first_k_marked(n, t), m).probabilities
+        assert np.abs(p - q).max() <= 1e-15, (n, t, m)
+        closed = closed_form_count_distribution(t / (1 << n), m)
+        assert np.abs(p - closed).max() < 1e-12, (n, t, m)
 
 
 def test_m12_distribution_matches_closed_form_in_little_memory():

@@ -1,8 +1,9 @@
 """Source hygiene: every imported name in src/ and tests/ is used, every
 module-level private name in src/distgrover/ is referenced, every
-parameter of a function in src/distgrover/ is read, and no function in
-src/distgrover/ stores into a module-level container, and each of three
-concerns lives in the modules that own it.
+parameter of a function in src/distgrover/ is read, no function in
+src/distgrover/ stores into a module-level container, each of three
+concerns lives in the modules that own it, and no module in
+src/distgrover/ names a complex dtype.
 
 Stdlib `ast` scans standing in for a linter's unused-import, dead-code and
 unused-argument rules. For imports, package `__init__.py` files are skipped
@@ -22,12 +23,17 @@ leaves state behind for the next one. Ownership: only `statevector.py`
 reads the environment (`os.environ` or `os.getenv`) and constructs
 `CapacityError`, so the capacity check is one routine; only `grover.py` and
 `estimation.py` call `.add_quantum`, so each quantum query is charged once,
-by the run that spends it.
+by the run that spends it. Real amplitudes: no module in src/distgrover/
+names a complex dtype (`complex`, `np.complex128`, `np.cdouble`, a dtype
+string such as "c16") or writes an imaginary literal, so states stay float64
+and complex amplitudes come only from an operation that returns them, the
+inverse QFT's FFT.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -320,3 +326,58 @@ def test_scan_flags_a_concern_outside_its_owner():
     assert _ownership_violations(modules) == [
         "oracle.py:1: os.environ", "oracle.py:4: .add_quantum()",
         "oracle.py:6: CapacityError()", "oracle.py:6: os.environ"]
+
+
+COMPLEX_NAMES = re.compile(r"complex\w*|cdouble|csingle|clongdouble|cfloat")
+COMPLEX_STRINGS = re.compile(r"[<>=|]?(c8|c16|c32|[FDG]|" +
+                             COMPLEX_NAMES.pattern + ")")
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def _complex_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    docstrings = _docstrings(tree)
+    problems = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name is not None and COMPLEX_NAMES.fullmatch(name):
+            problems.append((node.lineno, name))
+        elif isinstance(node, ast.Constant) and id(node) not in docstrings \
+                and (isinstance(node.value, complex) or (
+                    isinstance(node.value, str)
+                    and COMPLEX_STRINGS.fullmatch(node.value))):
+            problems.append((node.lineno, repr(node.value)))
+    return sorted(problems)
+
+
+def test_no_complex_dtype_in_src():
+    files = sorted((ROOT / "src" / "distgrover").rglob("*.py"))
+    assert files
+    problems = [f"{path.relative_to(ROOT)}:{line}: {what}"
+                for path in files
+                for line, what in _complex_uses(ast.parse(path.read_text()))]
+    assert not problems, "complex dtypes named in src:\n" + \
+        "\n".join(problems)
+
+
+def test_scan_flags_a_complex_dtype():
+    tree = ast.parse('"""complex128 amplitudes, in a docstring."""\n'
+                     "import numpy as np\n"
+                     "a = np.zeros(4, dtype=np.complex128)\n"
+                     "b = a.astype(complex)\n"
+                     "c = np.exp(2j * np.pi)\n"
+                     "d = np.zeros(2, 'c16') + np.cdouble(0)\n"
+                     "e = np.zeros(2, dtype='float64').real\n"
+                     "def f():\n"
+                     "    'complex64 here is a docstring'\n"
+                     "    return np.complex64\n")
+    assert _complex_uses(tree) == [(3, "complex128"), (4, "complex"),
+                                   (5, "2j"), (6, "'c16'"), (6, "cdouble"),
+                                   (10, "complex64")]

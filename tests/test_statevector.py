@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from distgrover import (CapacityError, MeasurementDistribution, UsageError,
-                        apply_controlled_powers,
-                        apply_diagonal_phase, apply_hadamard_all, init_basis,
+from distgrover import (CapacityError, MeasurementDistribution, QOperator,
+                        UsageError, apply_controlled_powers,
+                        apply_diagonal_phase, apply_grover_iterate,
+                        apply_hadamard_all, apply_zero_reflection, init_basis,
                         measurement_distribution, sample)
 from distgrover.statevector import StateVector
 
+from conftest import marked_function
 from reference import reference_hadamard_all
 
 
@@ -17,6 +19,7 @@ def test_init_basis_examples():
     assert np.allclose(init_basis(1, 1).amps, [0, 1])
     s = init_basis(3, 5)
     assert s.amps[5] == 1 and abs(s.amps).sum() == 1
+    assert s.amps.dtype == np.float64
 
 
 def test_init_basis_errors():
@@ -195,3 +198,25 @@ def test_norm_preserved_after_operations():
     apply_diagonal_phase(s, range(1, 3), [1, 1, -1, 1])
     apply_controlled_powers(s, 2, _z_transform)
     assert abs(s.norm_squared() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_real_kernels_keep_dtype_in_place(dtype):
+    # a real operator on a real state stays real, and on a complex one stays
+    # complex: each kernel writes into the array it was given, never into an
+    # upcast copy
+    rng = np.random.default_rng(3)
+    f = marked_function(4, [2, 9])
+    kernels = [
+        lambda s: apply_hadamard_all(s, range(1, 4)),
+        lambda s: apply_diagonal_phase(s, range(0, 4), f.phase_signs()),
+        lambda s: apply_zero_reflection(s, range(0, 3)),
+        lambda s: apply_grover_iterate(f, s),
+        lambda s: apply_controlled_powers(s, 3, QOperator(f).apply_batch),
+    ]
+    for kernel in kernels:
+        amps = rng.normal(size=16).astype(dtype)
+        s = StateVector(4, amps / np.linalg.norm(amps))
+        before = s.amps
+        assert kernel(s) is s
+        assert s.amps is before and before.dtype == dtype
