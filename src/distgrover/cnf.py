@@ -50,18 +50,19 @@ class CnfFormula:
                            for clause in self.clauses))
 
     def truth_values(self) -> np.ndarray:
-        """Vector of f over all 2^n assignments, ascending index order."""
-        size = 1 << self.variable_count
-        values = np.ones(size, dtype=bool)
-        idx = np.arange(size)
+        """Vector of f over all 2^n assignments, ascending index order: one
+        mask test per clause (see `_clause_masks`)."""
         n = self.variable_count
+        idx = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+        masked = np.empty_like(idx)
+        satisfied = np.empty(idx.shape, dtype=bool)
+        values = np.ones(idx.shape, dtype=bool)
         for clause in self.clauses:
-            satisfied = np.zeros(size, dtype=bool)
-            for lit in clause:
-                bit = (idx >> (n - abs(lit))) & 1
-                satisfied |= (bit == 1) if lit > 0 else (bit == 0)
+            variables, negated = _clause_masks(clause, n)
+            np.bitwise_and(idx, variables, out=masked)
+            np.not_equal(masked, negated, out=satisfied)
             values &= satisfied
-        return values.astype(np.uint8)
+        return values.view(np.uint8)
 
 
 _BITS = {0: "0", 1: "1", "0": "0", "1": "1"}
@@ -78,11 +79,25 @@ def _as_bits(x) -> str:
         raise UsageError(f"{x!r} is not an index or bits 0 and 1") from None
 
 
+def _clause_masks(clause: tuple[int, ...], n: int) -> tuple[int, int]:
+    """(bits of the clause's variables, bits of its negated variables) in an
+    n-bit assignment index. No literal holds, so the clause is false,
+    exactly where `index & variables == negated`: each positive literal's
+    bit reads 0 and each negative literal's bit reads 1."""
+    variables = negated = 0
+    for lit in clause:
+        bit = 1 << (n - abs(lit))
+        variables |= bit
+        if lit < 0:
+            negated |= bit
+    return variables, negated
+
+
 def clause_is_false_index(clause: tuple[int, ...], assignment_index: int,
                           n: int) -> int:
     """1 if no literal of the clause holds at the assignment, else 0."""
-    return int(not any(((assignment_index >> (n - abs(lit))) & 1) == (lit > 0)
-                       for lit in clause))
+    variables, negated = _clause_masks(clause, n)
+    return int((assignment_index & variables) == negated)
 
 
 def _normalize_clause(literals: list[int]) -> tuple[int, ...] | None:

@@ -135,9 +135,10 @@ def _run(circuit: CircuitIR, inputs: np.ndarray,
          trace: list | None = None):
     """Final (index, counter, phase flipped) arrays of |y>|0>_C for every
     basis index y in `inputs`: X flips an index bit, CADD/CSUB step the
-    counter modulo m+1 where every control holds and the counter is below
-    m+1, Z0C toggles the phase where the counter is 0. Appends a copy of the
-    counter to `trace`, if given, after each non-X gate."""
+    counter in place modulo m+1 where every control holds (one mask test
+    for all of them) and the counter is below m+1, Z0C toggles the phase
+    where the counter is 0. Appends a copy of the counter to `trace`, if
+    given, after each non-X gate."""
     n = circuit.input_qubits
     top = max((g.modulus for g in circuit.gates
                if isinstance(g, MultiControlledAdd)), default=1)
@@ -149,12 +150,12 @@ def _run(circuit: CircuitIR, inputs: np.ndarray,
             index ^= 1 << (n - 1 - gate.qubit)
             continue
         if isinstance(gate, MultiControlledAdd):
+            controls = sum(1 << (n - 1 - q) for q in gate.controls)
             fires = counter < gate.modulus
-            for q in gate.controls:
-                fires &= ((index >> (n - 1 - q)) & 1) == 1
+            fires &= (index & controls) == controls
             step = gate.modulus - 1 if gate.subtract else 1
-            counter = np.where(fires, (counter + step) % gate.modulus,
-                               counter)
+            np.add(counter, step, out=counter, where=fires)
+            np.remainder(counter, gate.modulus, out=counter, where=fires)
         else:
             flipped ^= counter == 0
         if trace is not None:

@@ -11,6 +11,12 @@ non-decreasing counts, as a distributed sweep's do, therefore simulate each
 iterate once, while `run_grover` still charges every shot all k of its
 oracle queries. The state after k iterates is the same array whichever way
 it was reached, so every draw samples the same distribution as a fresh run.
+
+Memory of one shot, per amplitude of its 2^n: the state (8 bytes) and f's
+cached sign array (8), plus either an iterate's Hadamard scratch (6) or the
+final distribution (8), never both, since `Evolution` drops a distribution
+before it moves the state. A shot therefore peaks near 3 times its state,
+plus f's 1-byte truth table.
 """
 
 from __future__ import annotations
@@ -71,26 +77,28 @@ class Evolution:
     `distribution(k)` applies only the iterates beyond those already
     applied, restarts from the uniform start when asked for fewer, and
     returns the last distribution again when asked for the same k. It holds
-    one real state and one distribution: 16 bytes per amplitude.
+    one real state and one distribution, 16 bytes per amplitude, and drops
+    the distribution before the state moves.
     """
 
     def __init__(self, f: BooleanFunction):
         self.f = f
+        self._distribution: MeasurementDistribution | None = None
         self._restart()
 
     def _restart(self) -> None:
         n = self.f.arity
         self.state = apply_hadamard_all(init_basis(n, 0), range(0, n))
         self.iterations = 0
-        self._distribution: MeasurementDistribution | None = None
 
     def distribution(self, iterations: int) -> MeasurementDistribution:
         """Exact measurement distribution after `iterations` iterates."""
         if iterations < 0:
             raise UsageError("iteration count must be >= 0")
-        if iterations < self.iterations:
-            self._restart()
         if self._distribution is None or iterations != self.iterations:
+            self._distribution = None
+            if iterations < self.iterations:
+                self._restart()
             for _ in range(iterations - self.iterations):
                 apply_grover_iterate(self.f, self.state)
             self.iterations = iterations

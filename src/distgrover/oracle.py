@@ -166,9 +166,13 @@ class BooleanFunction:
         return int(self.truth_values().sum())
 
     def phase_signs(self) -> np.ndarray:
-        """(-1)^f(x) over all basis indices."""
+        """(-1)^f(x) over all basis indices, as 1 - 2 f(x) built in place in
+        one float64 array."""
         if self._signs_cache is None:
-            self._signs_cache = 1.0 - 2.0 * self.truth_values().astype(float)
+            signs = self.truth_values().astype(float)
+            signs *= -2.0
+            signs += 1.0
+            self._signs_cache = signs
         return self._signs_cache
 
     # -- quantum surface ---------------------------------------------------

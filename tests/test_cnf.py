@@ -280,6 +280,57 @@ def test_compiled_oracle_matches_formula(rng):
     assert np.array_equal(diag, 1.0 - 2.0 * formula.truth_values())
 
 
+def _per_literal_truth(formula):
+    n = formula.variable_count
+    return np.array([int(all(any(((y >> (n - abs(lit))) & 1) == (lit > 0)
+                                 for lit in clause)
+                             for clause in formula.clauses))
+                     for y in range(1 << n)], dtype=np.uint8)
+
+
+def _per_gate_diagonal(circuit):
+    # each input stepped through the gates one at a time, one bit per control
+    n = circuit.input_qubits
+    diagonal = []
+    for y in range(1 << n):
+        index, counter, flipped = y, 0, False
+        for gate in circuit.gates:
+            if isinstance(gate, PauliX):
+                index ^= 1 << (n - 1 - gate.qubit)
+            elif isinstance(gate, MultiControlledAdd):
+                if counter < gate.modulus and all(
+                        (index >> (n - 1 - q)) & 1 for q in gate.controls):
+                    step = -1 if gate.subtract else 1
+                    counter = (counter + step) % gate.modulus
+            else:
+                flipped ^= counter == 0
+        assert (index, counter) == (y, 0)
+        diagonal.append(-1.0 if flipped else 1.0)
+    return np.array(diagonal)
+
+
+def test_mask_tables_match_a_per_literal_reference(rng):
+    for n in range(1, 13):
+        for m in (0, 1, n, 3 * n):
+            formula = random_3cnf(n, m, rng)
+            if m == n:
+                formula.clauses.insert(rng.randrange(m + 1), ())
+            want = _per_literal_truth(formula)
+            got = formula.truth_values()
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want), formula
+            assert [formula.evaluate(y) for y in range(1 << n)] == \
+                want.tolist()
+
+
+def test_mask_diagonals_match_a_per_gate_reference(rng):
+    for n in range(1, 13):
+        for m in (1, n, 2 * n if n <= 10 else n + 3):
+            circuit = compile_phase_oracle(random_3cnf(n, m, rng))
+            assert np.array_equal(circuit_diagonal(circuit),
+                                  _per_gate_diagonal(circuit))
+
+
 def test_compiled_oracle_phase_on_superposition(rng):
     formula = random_3cnf(4, 5, rng)
     oracle = oracle_from_formula(formula)

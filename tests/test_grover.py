@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,23 @@ def test_run_grover_deterministic():
     a = run_grover(f, 2, 99, QueryLedger())
     b = run_grover(f, 2, 99, QueryLedger())
     assert a == b
+
+
+def test_run_grover_peaks_below_three_and_a_half_states():
+    # a shot holds its state, the sign array and one distribution (8 bytes
+    # per amplitude each) or, while an iterate runs, the Hadamard scratch
+    # (6) in place of the distribution; the truth table is built beforehand
+    n, a = 18, 1024
+    f = first_k_marked(n, a)
+    f.truth_values()
+    tracemalloc.start()
+    try:
+        outcome = run_grover(f, a, 3, QueryLedger())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.is_solution == f.evaluate(outcome.measured_x)
+    assert peak <= 3.5 * (8 << n)
 
 
 def _run_grover_distribution(monkeypatch, f, a, hadamard):

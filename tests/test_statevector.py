@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from distgrover import (CapacityError, MeasurementDistribution, QOperator,
                         apply_diagonal_phase, apply_grover_iterate,
                         apply_hadamard_all, apply_zero_reflection, init_basis,
                         measurement_distribution, sample)
+from distgrover import statevector
 from distgrover.statevector import StateVector
 
 from conftest import marked_function
@@ -190,6 +192,84 @@ def test_sample_frequencies_match_distribution():
         counts[sample(d, seed)] += 1
     sigma = np.sqrt(trials * probs * (1 - probs))
     assert (np.abs(counts - trials * probs) <= 3 * sigma).all()
+
+
+def test_measurement_distribution_allocates_one_array():
+    # a whole-state measurement of a real 2^20 state builds one float64
+    # array, 8 MiB, and no temporaries beside it
+    rng = np.random.default_rng(20)
+    amps = rng.normal(size=1 << 20)
+    s = StateVector(20, amps / np.sqrt(np.square(amps).sum()))
+    tracemalloc.start()
+    try:
+        d = measurement_distribution(s, range(0, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 2**20
+    assert np.array_equal(d.probabilities, np.abs(s.amps) ** 2)
+
+
+def _cumsum_draw(p, u):
+    return min(int(np.searchsorted(np.cumsum(p), u, side="right")),
+               p.shape[0] - 1)
+
+
+def _assert_draws_match(monkeypatch, p, us):
+    # `sample` with the seed standing in for u (for the rest of the test),
+    # against a search of cumsum
+    monkeypatch.setattr(statevector, "unit_double", lambda u: u)
+    d = MeasurementDistribution(p)
+    for u in us:
+        draw = sample(d, float(u))
+        assert type(draw) is int
+        assert draw == _cumsum_draw(p, float(u)), u
+
+
+def test_sample_matches_a_cumsum_search_on_random_distributions(monkeypatch):
+    rng = np.random.default_rng(7)
+    chunk = statevector._SAMPLE_CHUNK
+    for size in (1, 3, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        p = rng.random(size)
+        p /= p.sum()
+        cumulative = np.cumsum(p)
+        on_values = cumulative[rng.integers(0, size, 20)]
+        _assert_draws_match(monkeypatch, p, np.concatenate(
+            [[0.0], rng.random(50), on_values, cumulative[-1:]]))
+
+
+def test_sample_skips_runs_of_zero_probability(monkeypatch):
+    # u on the cumulative value shared by a run of zeros that crosses chunk
+    # boundaries draws the first index after the run
+    rng = np.random.default_rng(8)
+    chunk = statevector._SAMPLE_CHUNK
+    p = rng.random(4 * chunk) * (rng.random(4 * chunk) < 0.3)
+    p[chunk - 10:2 * chunk + 10] = 0.0
+    p[-chunk // 2:] = 0.0
+    p /= p.sum()
+    cumulative = np.cumsum(p)
+    zeros = np.flatnonzero(p == 0.0)
+    _assert_draws_match(monkeypatch, p, np.concatenate(
+        [cumulative[rng.choice(zeros, 50)], rng.random(50)]))
+
+
+def test_sample_draws_past_the_first_chunk(monkeypatch):
+    chunk = statevector._SAMPLE_CHUNK
+    p = np.zeros(4 * chunk)
+    p[0] = 0.25
+    p[3 * chunk + 7] = 0.75
+    _assert_draws_match(monkeypatch, p, [0.0, 0.2, 0.25, 0.5, 0.9999])
+    assert sample(MeasurementDistribution(p), 0.25) == 3 * chunk + 7
+
+
+def test_sample_at_or_past_the_total_draws_the_last_index(monkeypatch):
+    chunk = statevector._SAMPLE_CHUNK
+    for p in (np.full(3, 1 / 3), np.full(2 * chunk, 1 / (2 * chunk)),
+              np.array([0.5, 0.5 - 1e-12, 0.0, 0.0])):
+        total = float(np.cumsum(p)[-1])
+        us = [total, np.nextafter(total, 2.0), 1.0]
+        _assert_draws_match(monkeypatch, p, us)
+        assert sample(MeasurementDistribution(p), total) == p.shape[0] - 1
 
 
 def test_norm_preserved_after_operations():
