@@ -4,7 +4,7 @@ compilation, with exact query accounting throughout."""
 
 from .cnf import CnfFormula, parse_dimacs, restrict_cnf
 from .compiler import (CircuitIR, build_uk, compile_phase_oracle, gate_count,
-                       oracle_from_formula, simulate_oracle_circuit)
+                       oracle_from_formula)
 from .distributed import (CandidateSet, DistOutcome, build_candidate_set,
                           candidate_window, decompose, run_parallel,
                           run_serial, threshold_t_a, worst_case_query_bound)
@@ -15,10 +15,10 @@ from .estimation import (CountEstimate, QOperator, counting_grid_for,
 from .grover import (Evolution, GroverOutcome, apply_grover_iterate,
                      grover_iterations, run_grover, success_probability)
 from .ledger import QueryLedger
-from .oracle import BooleanFunction, apply_zero_reflection
+from .oracle import BooleanFunction
 from .statevector import (MeasurementDistribution, StateVector,
                           apply_controlled_powers, apply_diagonal_phase,
-                          apply_hadamard_all, init_basis,
-                          measurement_distribution, sample)
+                          apply_hadamard_all, apply_zero_reflection,
+                          init_basis, measurement_distribution, sample)
 
 __version__ = "0.1.0"

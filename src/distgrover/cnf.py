@@ -1,4 +1,4 @@
-"""CNF formulas: DIMACS parsing, clause semantics, and restriction.
+"""CNF formulas: DIMACS parsing, the truth table, and restriction.
 
 A literal is a signed 1-based variable index (positive = variable, negative
 = its negation). Variable 1 corresponds to qubit 0 and therefore to the most
@@ -7,6 +7,9 @@ clauses is constant true (the empty conjunction), and a formula holding the
 empty clause `()` is constant false, since no assignment satisfies it.
 Parsing keeps an empty clause as `()`, and restriction keeps a clause whose
 literals are all fixed false as `()`, so no case needs special handling.
+A formula is evaluated only as a whole, by `truth_values` over all 2^n
+assignments with one mask test per clause; the scalar per-literal
+evaluation it is checked against lives in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -42,12 +45,6 @@ class CnfFormula:
     @property
     def is_constant_true(self) -> bool:
         return not self.clauses
-
-    def evaluate(self, assignment_index: int) -> int:
-        """f(y) for the assignment encoded as an integer (variable 1 = MSB)."""
-        n = self.variable_count
-        return int(not any(clause_is_false_index(clause, assignment_index, n)
-                           for clause in self.clauses))
 
     def truth_values(self) -> np.ndarray:
         """Vector of f over all 2^n assignments, ascending index order: one
@@ -91,13 +88,6 @@ def _clause_masks(clause: tuple[int, ...], n: int) -> tuple[int, int]:
         if lit < 0:
             negated |= bit
     return variables, negated
-
-
-def clause_is_false_index(clause: tuple[int, ...], assignment_index: int,
-                          n: int) -> int:
-    """1 if no literal of the clause holds at the assignment, else 0."""
-    variables, negated = _clause_masks(clause, n)
-    return int((assignment_index & variables) == negated)
 
 
 def _normalize_clause(literals: list[int]) -> tuple[int, ...] | None:

@@ -16,11 +16,11 @@ since at most m clauses can fail.
 
 Every gate maps basis states to basis states and the counter always comes
 back to |0..0>, so the whole circuit acts on the input register as one +-1
-diagonal. One stepper, `_run`, carries an integer index, counter and phase
-bit per input through the gates: `circuit_diagonal` runs all 2^n inputs at
-once (a compiled oracle is a BooleanFunction with that diagonal as its truth
-table), `counter_trace` and `simulate_oracle_circuit` run one. Tests check
-the diagonal against `CnfFormula.truth_values` and the live-counter execution
+diagonal. `circuit_diagonal` is the one gate stepper: it carries an integer
+index, counter and phase bit for all 2^n inputs at once through the gates
+(a compiled oracle is a BooleanFunction with that diagonal as its truth
+table). Tests check the diagonal against `CnfFormula.truth_values`, the
+one-input stepper in `tests/reference.py` and the live-counter execution
 `tests/conftest.py::live_counter_apply`. A constant formula (no clauses, or
 the empty clause) has no circuit and gets a constant oracle.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import cnf as cnfmod
 from .errors import InvariantError, NotCompilableError, UsageError
-from .oracle import BooleanFunction, _as_index
+from .oracle import BooleanFunction
 from .statevector import check_capacity
 
 # Elementary-gate accounting for gate_count(elementary=True). Constants model
@@ -131,25 +131,28 @@ def compile_phase_oracle(formula: cnfmod.CnfFormula) -> CircuitIR:
                      gates=tuple(gates))
 
 
-def _run(circuit: CircuitIR, inputs: np.ndarray,
-         trace: list | None = None):
-    """Final (index, counter, phase flipped) arrays of |y>|0>_C for every
-    basis index y in `inputs`: X flips an index bit, CADD/CSUB step the
-    counter in place modulo m+1 where every control holds (one mask test
-    for all of them) and the counter is below m+1, Z0C toggles the phase
-    where the counter is 0. Appends a copy of the counter to `trace`, if
-    given, after each non-X gate."""
+def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
+    """The +-1 diagonal the circuit realizes on the input register, from one
+    run of all 2^n basis inputs |y>|0>_C, each carried as an integer index,
+    counter and phase bit: X flips an index bit, CADD/CSUB step the counter
+    in place modulo m+1 where every control holds (one mask test for all of
+    them) and the counter is below m+1, Z0C toggles the phase where the
+    counter is 0. Raises InvariantError unless every input ends with its
+    bits restored and its counter back at 0, the condition under which the
+    circuit acts on |y>|0>_C as (+-1)|y>|0>_C.
+    """
     n = circuit.input_qubits
+    check_capacity(n)
     top = max((g.modulus for g in circuit.gates
                if isinstance(g, MultiControlledAdd)), default=1)
-    index = inputs.astype(np.min_scalar_type((1 << n) - 1))
+    inputs = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    index = inputs.copy()
     counter = np.zeros(inputs.shape, dtype=np.min_scalar_type(2 * top))
     flipped = np.zeros(inputs.shape, dtype=bool)
     for gate in circuit.gates:
         if isinstance(gate, PauliX):
             index ^= 1 << (n - 1 - gate.qubit)
-            continue
-        if isinstance(gate, MultiControlledAdd):
+        elif isinstance(gate, MultiControlledAdd):
             controls = sum(1 << (n - 1 - q) for q in gate.controls)
             fires = counter < gate.modulus
             fires &= (index & controls) == controls
@@ -158,38 +161,6 @@ def _run(circuit: CircuitIR, inputs: np.ndarray,
             np.remainder(counter, gate.modulus, out=counter, where=fires)
         else:
             flipped ^= counter == 0
-        if trace is not None:
-            trace.append(counter.copy())
-    return index, counter, flipped
-
-
-def counter_trace(circuit: CircuitIR, input_basis) -> list[int]:
-    """Counter value after each non-X gate on the basis input |y>|0>_C."""
-    trace: list = []
-    _run(circuit, np.array([_as_index(input_basis, circuit.input_qubits)]),
-         trace)
-    return [int(counter[0]) for counter in trace]
-
-
-def simulate_oracle_circuit(circuit: CircuitIR,
-                            input_basis) -> tuple[int, int]:
-    """(phase in {+1, -1}, 1 if the counter is restored to zero) on
-    |y>|0>_C."""
-    _, counter, flipped = _run(circuit, np.array(
-        [_as_index(input_basis, circuit.input_qubits)]))
-    return -1 if flipped[0] else 1, int(counter[0] == 0)
-
-
-def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
-    """The +-1 diagonal the circuit realizes on the input register, from one
-    run of all 2^n basis inputs. Raises InvariantError unless every input
-    ends with its bits restored and its counter back at 0, the condition
-    under which the circuit acts on |y>|0>_C as (+-1)|y>|0>_C.
-    """
-    n = circuit.input_qubits
-    check_capacity(n)
-    inputs = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    index, counter, flipped = _run(circuit, inputs)
     broken = np.flatnonzero((index != inputs) | (counter != 0))
     if broken.size:
         y = int(broken[0])

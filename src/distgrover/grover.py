@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 from .ledger import QueryLedger
-from .oracle import BooleanFunction, apply_zero_reflection
+from .oracle import BooleanFunction
 from .statevector import (MeasurementDistribution, StateVector,
-                          apply_hadamard_all, init_basis,
-                          measurement_distribution, sample)
+                          apply_hadamard_all, apply_zero_reflection,
+                          init_basis, measurement_distribution, sample)
 from .errors import UsageError
 
 
@@ -77,8 +77,9 @@ class Evolution:
     `distribution(k)` applies only the iterates beyond those already
     applied, restarts from the uniform start when asked for fewer, and
     returns the last distribution again when asked for the same k. It holds
-    one real state and one distribution, 16 bytes per amplitude, and drops
-    the distribution before the state moves.
+    one real state and one distribution, 16 bytes per amplitude, drops the
+    distribution before the state moves, and drops the state before a
+    restart builds the next one.
     """
 
     def __init__(self, f: BooleanFunction):
@@ -98,6 +99,7 @@ class Evolution:
         if self._distribution is None or iterations != self.iterations:
             self._distribution = None
             if iterations < self.iterations:
+                self.state = None   # so the new state is not built beside it
                 self._restart()
             for _ in range(iterations - self.iterations):
                 apply_grover_iterate(self.f, self.state)

@@ -27,8 +27,7 @@ from . import cnf as cnfmod
 from .cnf import _as_bits
 from .errors import ParseError, UsageError
 from .ledger import QueryLedger
-from .statevector import (StateVector, _check_norm, _check_register,
-                          _split_shape, apply_diagonal_phase, check_capacity)
+from .statevector import StateVector, apply_diagonal_phase, check_capacity
 
 
 def _as_index(x, arity: int) -> int:
@@ -201,13 +200,4 @@ class BooleanFunction:
         y = int(bits, 2)
         table = self.truth_values().reshape(1 << (n - k), 1 << k)[:, y].copy()
         return BooleanFunction(n - k, lambda _: table)
-
-
-def apply_zero_reflection(state: StateVector, register: range) -> StateVector:
-    """Z_0 = I - 2|0><0| on `register`: sign flip only at the all-zero value,
-    negating just the amplitudes whose register bits are all zero."""
-    _check_register(state.qubit_count, register)
-    before, mid, after = _split_shape(state.qubit_count, register)
-    state.amps.reshape(before, mid, after)[:, 0, :] *= -1.0
-    return _check_norm(state)
 

@@ -190,6 +190,15 @@ def apply_diagonal_phase(state: StateVector, register: range,
     return _check_norm(state)
 
 
+def apply_zero_reflection(state: StateVector, register: range) -> StateVector:
+    """Z_0 = I - 2|0><0| on `register`: sign flip only at the all-zero value,
+    negating just the amplitudes whose register bits are all zero."""
+    _check_register(state.qubit_count, register)
+    before, mid, after = _split_shape(state.qubit_count, register)
+    state.amps.reshape(before, mid, after)[:, 0, :] *= -1.0
+    return _check_norm(state)
+
+
 def apply_controlled_powers(state: StateVector, width: int,
                             apply_batch) -> StateVector:
     """For each value j of the leading `width` qubits, the control register,

@@ -1,5 +1,5 @@
-"""Dense references: the butterfly Hadamard kernel, a Grover shot from a
-fresh state, and the counting engine.
+"""References: the butterfly Hadamard kernel, a Grover shot from a fresh
+state, the counting engine, and scalar CNF and oracle-circuit evaluation.
 
 `reference_hadamard_all` is the per-qubit butterfly Walsh-Hadamard transform
 that `distgrover.statevector.apply_hadamard_all` replaced with in-place
@@ -15,6 +15,12 @@ module keeps the full-state engine it is checked against: the estimation
 iterate Q = A U0_perp A^{-1} U_f applied to every target branch of a
 2^(m+n) state, the dense forward and inverse QFT on a contiguous register,
 and the exact reading-register distribution. Kept for n <= 10.
+
+`reference_truth_values` evaluates a CNF formula one assignment and one
+literal at a time, the check on `CnfFormula.truth_values`'s mask tests.
+`step_oracle_circuit` carries one basis input through a compiled oracle
+circuit one gate at a time, testing one bit per control, the check on
+`compiler.circuit_diagonal`'s whole-domain stepper.
 """
 
 from __future__ import annotations
@@ -23,14 +29,14 @@ import math
 
 import numpy as np
 
-from distgrover import BooleanFunction, QueryLedger, UsageError
+from distgrover import BooleanFunction, CnfFormula, QueryLedger, UsageError
+from distgrover.compiler import CircuitIR, MultiControlledAdd, PauliX
 from distgrover.grover import GroverOutcome, grover_iterations
-from distgrover.oracle import apply_zero_reflection
 from distgrover.statevector import (MeasurementDistribution, StateVector,
                                     apply_controlled_powers,
-                                    apply_hadamard_all, check_capacity,
-                                    init_basis, measurement_distribution,
-                                    sample)
+                                    apply_hadamard_all, apply_zero_reflection,
+                                    check_capacity, init_basis,
+                                    measurement_distribution, sample)
 
 _SQRT_HALF = math.sqrt(0.5)
 _QFT_CACHE: dict[tuple[int, bool], np.ndarray] = {}
@@ -133,3 +139,43 @@ def est_amp_distribution(f: BooleanFunction,
     apply_controlled_powers(state, m, DenseQOperator(f).apply_batch)
     apply_qft(state, control, inverse=True)
     return measurement_distribution(state, control)
+
+
+def reference_truth_values(formula: CnfFormula) -> np.ndarray:
+    """f over all 2^n assignments in ascending index order, each clause
+    tested one literal at a time (variable 1 is the most significant bit)."""
+    n = formula.variable_count
+    return np.array([int(all(any(((y >> (n - abs(lit))) & 1) == (lit > 0)
+                                 for lit in clause)
+                             for clause in formula.clauses))
+                     for y in range(1 << n)], dtype=np.uint8)
+
+
+def step_oracle_circuit(circuit: CircuitIR,
+                        y: int) -> tuple[int, list[int], int]:
+    """|y>|0>_C carried through the gates one at a time, one bit per
+    control: (final index, the counter after each non-X gate, phase in
+    {+1, -1})."""
+    n = circuit.input_qubits
+    index, counter, phase = y, 0, 1
+    counters = []
+    for gate in circuit.gates:
+        if isinstance(gate, PauliX):
+            index ^= 1 << (n - 1 - gate.qubit)
+            continue
+        if isinstance(gate, MultiControlledAdd):
+            if counter < gate.modulus and all(
+                    (index >> (n - 1 - q)) & 1 for q in gate.controls):
+                step = -1 if gate.subtract else 1
+                counter = (counter + step) % gate.modulus
+        elif counter == 0:
+            phase = -phase
+        counters.append(counter)
+    return index, counters, phase
+
+
+def simulate_oracle_circuit(circuit: CircuitIR, y: int) -> tuple[int, int]:
+    """(phase in {+1, -1}, 1 if the input bits and the counter are both
+    restored) on |y>|0>_C."""
+    index, counters, phase = step_oracle_circuit(circuit, y)
+    return phase, int(index == y and counters[-1] == 0)

@@ -32,7 +32,6 @@ from distgrover.compiler import (
     ELEMENTARY_SCALING_CONSTANT,
     circuit_diagonal,
     counter_width,
-    simulate_oracle_circuit,
 )
 from distgrover.estimation import relaxed_error_bound, counting_grid_for
 from distgrover.grover import (
@@ -43,6 +42,7 @@ from distgrover.grover import (
 from distgrover.statevector import apply_hadamard_all, init_basis
 
 from conftest import first_k_marked, marked_function, random_3cnf
+from reference import simulate_oracle_circuit
 
 CONFIDENCE = 8.0 / math.pi ** 2
 

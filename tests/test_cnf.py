@@ -15,7 +15,7 @@ from distgrover import (
     parse_dimacs,
     run_grover,
 )
-from distgrover.cnf import clause_is_false_index, restrict_cnf
+from distgrover.cnf import restrict_cnf
 from distgrover.compiler import (
     ELEMENTARY_SCALING_CONSTANT,
     MultiControlledAdd,
@@ -23,14 +23,14 @@ from distgrover.compiler import (
     ZeroPhaseOnCounter,
     build_uk,
     circuit_diagonal,
-    counter_trace,
     counter_width,
-    simulate_oracle_circuit,
 )
 from distgrover.errors import (InvariantError, NotCompilableError,
                                ParseError, UsageError)
 
 from conftest import live_counter_apply, random_3cnf
+from reference import (reference_truth_values, simulate_oracle_circuit,
+                       step_oracle_circuit)
 
 EXAMPLE = """\
 c a small instance
@@ -41,12 +41,6 @@ p cnf 3 3
 """
 
 
-def brute_truth(formula):
-    n = formula.variable_count
-    return np.array([formula.evaluate(y) for y in range(1 << n)],
-                    dtype=np.uint8)
-
-
 def test_parse_example_semantics():
     f = parse_dimacs(EXAMPLE)
     assert f.variable_count == 3
@@ -55,7 +49,7 @@ def test_parse_example_semantics():
     # x1=0 forced, then (x1 or not x2) forces x2=0, then x3=1: index 001
     assert np.array_equal(f.truth_values(),
                           np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8))
-    assert np.array_equal(f.truth_values(), brute_truth(f))
+    assert np.array_equal(f.truth_values(), reference_truth_values(f))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -97,7 +91,7 @@ def test_duplicate_literals_deduplicated():
 def test_empty_clause_is_constant_false():
     f = parse_dimacs("p cnf 2 2\n0\n1 0\n")
     assert f.constant_false
-    assert f.evaluate(0b10) == 0
+    assert reference_truth_values(f)[0b10] == 0
     assert not f.truth_values().any()
 
 
@@ -114,10 +108,10 @@ def test_empty_clause_and_tautology_count_toward_header():
 
 
 def test_clause_is_false_semantics():
-    assert clause_is_false_index((1, -2), 0b01, 2) == 1
-    assert clause_is_false_index((1, -2), 0b11, 2) == 0
-    assert clause_is_false_index((1, -2), 0b00, 2) == 0
-    assert clause_is_false_index((-3,), 0b001, 3) == 1
+    # a one-clause formula is 0 exactly where its clause is false
+    truth = CnfFormula(2, [(1, -2)]).truth_values()
+    assert (truth[0b01], truth[0b11], truth[0b00]) == (0, 1, 1)
+    assert CnfFormula(3, [(-3,)]).truth_values()[0b001] == 0
 
 
 def test_restrict_cnf_matches_table_restriction(rng):
@@ -133,7 +127,7 @@ def test_restrict_cnf_matches_table_restriction(rng):
     for formula in formulas:
         n = formula.variable_count
         full = formula.truth_values()
-        assert np.array_equal(full, brute_truth(formula))
+        assert np.array_equal(full, reference_truth_values(formula))
         functions = (BooleanFunction.from_cnf(formula),
                      oracle_from_formula(formula))
         for f in functions:
@@ -143,7 +137,8 @@ def test_restrict_cnf_matches_table_restriction(rng):
                 suffix = format(y, f"0{k}b")
                 sub = restrict_cnf(formula, suffix)
                 assert np.array_equal(sub.truth_values(), full[y::1 << k])
-                assert np.array_equal(brute_truth(sub), full[y::1 << k])
+                assert np.array_equal(reference_truth_values(sub),
+                                      full[y::1 << k])
                 for f in functions:
                     assert np.array_equal(f.restrict(suffix).truth_values(),
                                           full[y::1 << k])
@@ -224,10 +219,11 @@ def test_simulation_phase_and_restoration(rng):
         n = rng.randint(2, 6)
         formula = random_3cnf(n, rng.randint(1, 8), rng)
         circuit = compile_phase_oracle(formula)
+        truth = formula.truth_values()
         for y in range(1 << n):
             phase, restored = simulate_oracle_circuit(circuit, y)
             assert restored == 1
-            assert phase == 1 - 2 * formula.evaluate(y)
+            assert phase == 1 - 2 * int(truth[y])
 
 
 def test_counter_trace_prefix_and_unwind():
@@ -235,9 +231,10 @@ def test_counter_trace_prefix_and_unwind():
     circuit = compile_phase_oracle(f)
     m = f.clause_count
     for y in range(1 << f.variable_count):
-        trace = counter_trace(circuit, y)
+        _, trace, _ = step_oracle_circuit(circuit, y)
         assert len(trace) == 2 * m + 1
-        falsities = [clause_is_false_index(c, y, 3) for c in f.clauses]
+        falsities = [1 - int(reference_truth_values(CnfFormula(3, [c]))[y])
+                     for c in f.clauses]
         # forward pass: counter = false clauses among the first i
         for i in range(m):
             assert trace[i] == sum(falsities[:i + 1])
@@ -280,55 +277,27 @@ def test_compiled_oracle_matches_formula(rng):
     assert np.array_equal(diag, 1.0 - 2.0 * formula.truth_values())
 
 
-def _per_literal_truth(formula):
-    n = formula.variable_count
-    return np.array([int(all(any(((y >> (n - abs(lit))) & 1) == (lit > 0)
-                                 for lit in clause)
-                             for clause in formula.clauses))
-                     for y in range(1 << n)], dtype=np.uint8)
-
-
-def _per_gate_diagonal(circuit):
-    # each input stepped through the gates one at a time, one bit per control
-    n = circuit.input_qubits
-    diagonal = []
-    for y in range(1 << n):
-        index, counter, flipped = y, 0, False
-        for gate in circuit.gates:
-            if isinstance(gate, PauliX):
-                index ^= 1 << (n - 1 - gate.qubit)
-            elif isinstance(gate, MultiControlledAdd):
-                if counter < gate.modulus and all(
-                        (index >> (n - 1 - q)) & 1 for q in gate.controls):
-                    step = -1 if gate.subtract else 1
-                    counter = (counter + step) % gate.modulus
-            else:
-                flipped ^= counter == 0
-        assert (index, counter) == (y, 0)
-        diagonal.append(-1.0 if flipped else 1.0)
-    return np.array(diagonal)
-
-
 def test_mask_tables_match_a_per_literal_reference(rng):
     for n in range(1, 13):
         for m in (0, 1, n, 3 * n):
             formula = random_3cnf(n, m, rng)
             if m == n:
                 formula.clauses.insert(rng.randrange(m + 1), ())
-            want = _per_literal_truth(formula)
+            want = reference_truth_values(formula)
             got = formula.truth_values()
             assert got.dtype == np.uint8
             assert np.array_equal(got, want), formula
-            assert [formula.evaluate(y) for y in range(1 << n)] == \
-                want.tolist()
 
 
 def test_mask_diagonals_match_a_per_gate_reference(rng):
     for n in range(1, 13):
         for m in (1, n, 2 * n if n <= 10 else n + 3):
             circuit = compile_phase_oracle(random_3cnf(n, m, rng))
+            runs = [simulate_oracle_circuit(circuit, y)
+                    for y in range(1 << n)]
+            assert all(restored for _, restored in runs)
             assert np.array_equal(circuit_diagonal(circuit),
-                                  _per_gate_diagonal(circuit))
+                                  [phase for phase, _ in runs])
 
 
 def test_compiled_oracle_phase_on_superposition(rng):

@@ -242,6 +242,27 @@ def test_run_grover_peaks_below_three_and_a_half_states():
     assert peak <= 3.5 * (8 << n)
 
 
+def test_evolution_restart_peaks_at_the_memory_it_already_holds():
+    # asked for fewer iterates than the last, an Evolution drops its state
+    # before it builds the uniform start again, so the restart never holds
+    # two states; the slack, 1/64 of a state, covers small objects
+    n = 18
+    f = first_k_marked(n, 3)
+    tracemalloc.start()
+    try:
+        evolution = Evolution(f)
+        evolution.distribution(8)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        restarted = evolution.distribution(2).probabilities
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= held + (8 << n) // 64
+    assert np.array_equal(restarted, Evolution(f).distribution(2)
+                          .probabilities)
+
+
 def _run_grover_distribution(monkeypatch, f, a, hadamard):
     # the measurement distribution run_grover samples from, with `hadamard`
     # as its Walsh-Hadamard kernel

@@ -1,5 +1,6 @@
 """Source hygiene: every imported name in src/ and tests/ is used, every
-module-level private name in src/distgrover/ is referenced, every
+module-level private name in src/distgrover/ is referenced, every public
+function and method in src/distgrover/ is used outside the tests, every
 parameter of a function in src/distgrover/ is read, no function in
 src/distgrover/ stores into a module-level container, each of three
 concerns lives in the modules that own it, and no module in
@@ -12,7 +13,13 @@ A name counts as used when it appears as an identifier anywhere in the
 module, including inside string annotations. A private helper (a
 module-level `_name` bound by def, class or assignment; dunders excluded)
 counts as referenced when any module in src/ loads it, reads it as an
-attribute or imports it. A parameter (of a def or a lambda; `self`, `cls`
+attribute or imports it. A public module-level function, or a public method
+of a public class, counts as used when a module of src/ other than a package
+`__init__.py` (whose imports are re-exports) or of perfbench/ references
+its name the same way; code only the tests call belongs in the tests. The
+match is by bare name, so a method slips past while another definition of
+the same name is used (`CnfFormula.evaluate` did, beside
+`BooleanFunction.evaluate`). A parameter (of a def or a lambda; `self`, `cls`
 and `_`-prefixed names excluded) counts as read when its name is loaded
 anywhere in the function, nested functions included. A module-level
 container is a name bound by a top-level assignment; a function stores into
@@ -165,6 +172,62 @@ def _unused_parameters(tree: ast.Module) -> list[tuple[int, str]]:
                      if name not in read and name not in ("self", "cls")
                      and not name.startswith("_")]
     return problems
+
+
+def _public_api(tree: ast.Module):
+    """(line, name) of each public module-level function and each public
+    method of a public class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from ((item.lineno, f"{node.name}.{item.name}")
+                        for item in node.body if isinstance(item, defs)
+                        and not item.name.startswith("_"))
+
+
+def _test_only_api(defining: dict, using: dict) -> list[str]:
+    refs = set().union(*map(_references, using.values()))
+    return [f"{path}:{line}: {name}"
+            for path, tree in defining.items()
+            for line, name in _public_api(tree)
+            if name.rpartition(".")[2] not in refs]
+
+
+def test_no_test_only_public_api():
+    package = ROOT / "src" / "distgrover"
+    defining = {str(path.relative_to(ROOT)): ast.parse(path.read_text())
+                for path in sorted(package.rglob("*.py"))}
+    using = {path: tree for path, tree in defining.items()
+             if Path(path).name != "__init__.py"}
+    using.update({str(path.relative_to(ROOT)): ast.parse(path.read_text())
+                  for path in sorted((ROOT / "perfbench").rglob("*.py"))})
+    assert defining and len(using) > len(defining)
+    problems = _test_only_api(defining, using)
+    assert not problems, "public API used only by tests:\n" + \
+        "\n".join(problems)
+
+
+def test_scan_flags_test_only_public_api():
+    defining = {
+        "a.py": ast.parse("def used():\n    pass\n"
+                          "def test_only():\n    pass\n"
+                          "def _private():\n    pass\n"
+                          "class Box:\n"
+                          "    def read(self):\n        pass\n"
+                          "    def spare(self):\n        pass\n"
+                          "    def __len__(self):\n        return 0\n"
+                          "class _Hidden:\n"
+                          "    def spare(self):\n        pass\n"),
+    }
+    using = {"a.py": defining["a.py"],
+             "b.py": ast.parse("from a import used\nBox().read()\n")}
+    assert _test_only_api(defining, using) == ["a.py:3: test_only",
+                                               "a.py:10: Box.spare"]
+    # a re-export is an import, so the scan counts only the modules it uses
+    using["c.py"] = ast.parse("from a import test_only\n")
+    assert _test_only_api(defining, using) == ["a.py:10: Box.spare"]
 
 
 def test_no_unused_parameters():
