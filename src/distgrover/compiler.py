@@ -8,19 +8,19 @@ many clauses are false, so the phase flip fires exactly when f(y) = 1, and
 the mirror restores the counter to |0..0>.
 
 Each U_k block is X gates on the positively occurring variables (turning the
-clause-false pattern into all-ones), a multi-controlled modular increment
-with one positive control per literal, and the mirror X gates. ADD is the
-cyclic increment modulo m+1 on counter values 0..m, extended as the identity
-on values above m: the minimal unitary completion, never reached from |0>
-since at most m clauses can fail.
+clause-false pattern into all-ones), a multi-controlled increment with one
+positive control per literal, and the mirror X gates. CADD and CSUB step the
+M-qubit counter by +1 and -1 modulo 2^M. At most m < 2^M clauses fail, so
+the counter never wraps on a compiled circuit. The IR states M once, in its
+header.
 
 Every gate maps basis states to basis states and the counter always comes
 back to |0..0>, so the whole circuit acts on the input register as one +-1
-diagonal. `circuit_diagonal` is the one gate stepper: it carries an integer
-index, counter and phase bit for all 2^n inputs at once through the gates
-(a compiled oracle is a BooleanFunction with that diagonal as its truth
-table). Tests check the diagonal against `CnfFormula.truth_values`, the
-one-input stepper in `tests/reference.py` and the live-counter execution
+diagonal. `circuit_diagonal` is the one gate stepper: it carries a counter
+and a phase bit for all 2^n inputs at once through the gates (a compiled
+oracle is a BooleanFunction with that diagonal as its truth table). Tests
+check the diagonal against `CnfFormula.truth_values`, the one-input stepper
+in `tests/reference.py` and the live-counter execution
 `tests/conftest.py::live_counter_apply`. A constant formula (no clauses, or
 the empty clause) has no circuit and gets a constant oracle.
 """
@@ -38,7 +38,7 @@ from .oracle import BooleanFunction
 from .statevector import check_capacity
 
 # Elementary-gate accounting for gate_count(elementary=True). Constants model
-# the standard ancilla-assisted constructions: a modular incrementer on M
+# the standard ancilla-assisted constructions: an incrementer on M
 # counter qubits costs ADD_COST_PER_QUBIT * M elementary gates, each control
 # on it adds CONTROL_COST via a Toffoli chain, and the counter phase flip
 # costs ZERO_PHASE_COST_PER_QUBIT * M. ELEMENTARY_SCALING_CONSTANT is the
@@ -60,21 +60,18 @@ class PauliX:
 @dataclass(frozen=True)
 class MultiControlledAdd:
     controls: tuple[int, ...]   # input qubits, each firing on |1>
-    modulus: int
     subtract: bool = False
 
     def to_text(self) -> str:
         name = "CSUB" if self.subtract else "CADD"
         ctrls = ",".join(f"+q{q}" for q in self.controls)
-        return f"{name} mod={self.modulus} ctrls=[{ctrls}]"
+        return f"{name} ctrls=[{ctrls}]"
 
 
 @dataclass(frozen=True)
 class ZeroPhaseOnCounter:
-    width: int
-
     def to_text(self) -> str:
-        return f"Z0C width={self.width}"
+        return "Z0C"
 
 
 @dataclass(frozen=True)
@@ -94,8 +91,7 @@ def counter_width(clause_count: int) -> int:
     return max(1, math.ceil(math.log2(clause_count + 1)))
 
 
-def build_uk(clause: tuple[int, ...], modulus: int,
-             subtract: bool = False) -> list:
+def build_uk(clause: tuple[int, ...], subtract: bool = False) -> list:
     """Gate block incrementing (or decrementing) the counter exactly when
     the clause is false under the input assignment."""
     if not clause:
@@ -103,7 +99,7 @@ def build_uk(clause: tuple[int, ...], modulus: int,
     flips = [PauliX(abs(lit) - 1) for lit in clause if lit > 0]
     core = MultiControlledAdd(
         controls=tuple(sorted(abs(lit) - 1 for lit in clause)),
-        modulus=modulus, subtract=subtract)
+        subtract=subtract)
     return flips + [core] + list(reversed(flips))
 
 
@@ -118,55 +114,51 @@ def compile_phase_oracle(formula: cnfmod.CnfFormula) -> CircuitIR:
         raise NotCompilableError(
             "constant-true formula (no clauses) is not compilable; use a "
             "constant oracle instead")
-    width = counter_width(m)
-    modulus = m + 1
     gates: list = []
     for clause in formula.clauses:
-        gates.extend(build_uk(clause, modulus))
-    gates.append(ZeroPhaseOnCounter(width=width))
+        gates.extend(build_uk(clause))
+    gates.append(ZeroPhaseOnCounter())
     for clause in reversed(formula.clauses):
-        gates.extend(build_uk(clause, modulus, subtract=True))
+        gates.extend(build_uk(clause, subtract=True))
     return CircuitIR(input_qubits=formula.variable_count,
-                     counter_qubits=width, clause_count=m,
+                     counter_qubits=counter_width(m), clause_count=m,
                      gates=tuple(gates))
 
 
 def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
     """The +-1 diagonal the circuit realizes on the input register, from one
-    run of all 2^n basis inputs |y>|0>_C, each carried as an integer index,
-    counter and phase bit: X flips an index bit, CADD/CSUB step the counter
-    in place modulo m+1 where every control holds (one mask test for all of
-    them) and the counter is below m+1, Z0C toggles the phase where the
-    counter is 0. Raises InvariantError unless every input ends with its
-    bits restored and its counter back at 0, the condition under which the
+    run of all 2^n basis inputs |y>|0>_C, each carried as a counter and a
+    phase bit. Only X moves an input bit, so the register reads y ^ flips,
+    one integer for all inputs: CADD/CSUB step the counter by +-1 where
+    every control holds (one mask test for all of them), Z0C toggles the
+    phase where the counter is 0 modulo 2^M. Raises InvariantError unless
+    flips ends at 0 and every counter at 0, the condition under which the
     circuit acts on |y>|0>_C as (+-1)|y>|0>_C.
     """
     n = circuit.input_qubits
     check_capacity(n)
-    top = max((g.modulus for g in circuit.gates
-               if isinstance(g, MultiControlledAdd)), default=1)
+    mask = (1 << circuit.counter_qubits) - 1
     inputs = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    index = inputs.copy()
-    counter = np.zeros(inputs.shape, dtype=np.min_scalar_type(2 * top))
+    # stepped modulo 2^bits of its dtype, read modulo 2^M through `mask`
+    counter = np.zeros(inputs.shape, dtype=np.min_scalar_type(mask))
     flipped = np.zeros(inputs.shape, dtype=bool)
+    flips = 0
     for gate in circuit.gates:
         if isinstance(gate, PauliX):
-            index ^= 1 << (n - 1 - gate.qubit)
+            flips ^= 1 << (n - 1 - gate.qubit)
         elif isinstance(gate, MultiControlledAdd):
             controls = sum(1 << (n - 1 - q) for q in gate.controls)
-            fires = counter < gate.modulus
-            fires &= (index & controls) == controls
-            step = gate.modulus - 1 if gate.subtract else 1
-            np.add(counter, step, out=counter, where=fires)
-            np.remainder(counter, gate.modulus, out=counter, where=fires)
+            fires = (inputs & controls) == (controls & ~flips)
+            (np.subtract if gate.subtract else np.add)(counter, fires,
+                                                       out=counter)
         else:
-            flipped ^= counter == 0
-    broken = np.flatnonzero((index != inputs) | (counter != 0))
-    if broken.size:
-        y = int(broken[0])
+            flipped ^= (counter & mask) == 0
+    broken = np.flatnonzero(counter & mask)
+    if flips or broken.size:
+        y = int(broken[0]) if broken.size else 0
         raise InvariantError(
-            f"circuit does not restore input {y}: it ends at index "
-            f"{int(index[y])} with counter {int(counter[y])}")
+            f"circuit does not restore input {y}: it ends at input "
+            f"{y ^ flips} with counter {int(counter[y]) & mask}")
     return np.where(flipped, -1.0, 1.0)
 
 
@@ -194,5 +186,5 @@ def gate_count(circuit: CircuitIR, elementary: bool = False) -> int:
             total += (ADD_COST_PER_QUBIT * circuit.counter_qubits
                       + CONTROL_COST * len(gate.controls))
         else:
-            total += ZERO_PHASE_COST_PER_QUBIT * gate.width + 2
+            total += ZERO_PHASE_COST_PER_QUBIT * circuit.counter_qubits + 2
     return total

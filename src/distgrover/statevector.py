@@ -72,14 +72,8 @@ class StateVector:
         self.qubit_count = qubit_count
         self.amps = amps
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.qubit_count, self.amps.copy())
-
     def norm_squared(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
-
-    def __len__(self) -> int:
-        return self.amps.shape[0]
 
 
 class MeasurementDistribution:
@@ -97,9 +91,6 @@ class MeasurementDistribution:
         if abs(p.sum() - 1.0) > NORM_TOL:
             raise InvariantError("probabilities do not sum to 1")
         self.probabilities = np.clip(p, 0.0, None) if lowest < 0.0 else p
-
-    def __len__(self) -> int:
-        return self.probabilities.shape[0]
 
 
 def _check_register(qubit_count: int, register: range) -> None:

@@ -62,8 +62,9 @@ def live_counter_apply(circuit, amps: np.ndarray) -> np.ndarray:
     """Reference execution of an oracle circuit with a live counter
     register: the M counter qubits are appended after the n input qubits as
     the least significant bits of a 2^(n+M) state, every gate permutes that
-    state's amplitudes, and the counter is projected back out after checking
-    that it returned to |0..0> on every branch. Kept for n <= 8 only."""
+    state's amplitudes (CADD/CSUB step the counter modulo 2^M), and the
+    counter is projected back out after checking that it returned to |0..0>
+    on every branch. Kept for n <= 8 only."""
     n = circuit.input_qubits
     width = circuit.counter_qubits
     assert n <= 8, "the live-counter reference is for small circuits"
@@ -79,11 +80,11 @@ def live_counter_apply(circuit, amps: np.ndarray) -> np.ndarray:
         if isinstance(gate, PauliX):
             ext = ext[idx ^ (1 << (big_q - 1 - gate.qubit))]
         elif isinstance(gate, MultiControlledAdd):
-            ok = cval < gate.modulus
+            ok = np.ones(dim, dtype=bool)
             for q in gate.controls:
                 ok &= ((idx >> (big_q - 1 - q)) & 1) == 1
             delta = 1 if gate.subtract else -1   # source counter offset
-            src_counter = (cval + delta) % gate.modulus
+            src_counter = (cval + delta) & counter_mask
             ext = ext[np.where(ok, (idx & ~counter_mask) | src_counter, idx)]
         else:
             ext = ext.copy()

@@ -154,8 +154,8 @@ def reference_truth_values(formula: CnfFormula) -> np.ndarray:
 def step_oracle_circuit(circuit: CircuitIR,
                         y: int) -> tuple[int, list[int], int]:
     """|y>|0>_C carried through the gates one at a time, one bit per
-    control: (final index, the counter after each non-X gate, phase in
-    {+1, -1})."""
+    control, the counter stepped modulo 2^M: (final index, the counter after
+    each non-X gate, phase in {+1, -1})."""
     n = circuit.input_qubits
     index, counter, phase = y, 0, 1
     counters = []
@@ -164,10 +164,9 @@ def step_oracle_circuit(circuit: CircuitIR,
             index ^= 1 << (n - 1 - gate.qubit)
             continue
         if isinstance(gate, MultiControlledAdd):
-            if counter < gate.modulus and all(
-                    (index >> (n - 1 - q)) & 1 for q in gate.controls):
+            if all((index >> (n - 1 - q)) & 1 for q in gate.controls):
                 step = -1 if gate.subtract else 1
-                counter = (counter + step) % gate.modulus
+                counter = (counter + step) % (1 << circuit.counter_qubits)
         elif counter == 0:
             phase = -phase
         counters.append(counter)

@@ -18,6 +18,7 @@ from distgrover import (
 from distgrover.cnf import restrict_cnf
 from distgrover.compiler import (
     ELEMENTARY_SCALING_CONSTANT,
+    CircuitIR,
     MultiControlledAdd,
     PauliX,
     ZeroPhaseOnCounter,
@@ -168,7 +169,7 @@ def test_restrict_cnf_rejects_a_suffix_that_is_not_bits(suffix):
 
 
 def test_build_uk_flips_and_controls():
-    gates = build_uk((1, -3), modulus=4)
+    gates = build_uk((1, -3))
     assert [type(g) for g in gates] == [PauliX, MultiControlledAdd, PauliX]
     assert gates[0].qubit == 0 and gates[2].qubit == 0   # only positive lits
     assert gates[1].controls == (0, 2)
@@ -240,7 +241,7 @@ def test_counter_trace_prefix_and_unwind():
             assert trace[i] == sum(falsities[:i + 1])
         assert trace[m] == sum(falsities)            # unchanged by the flip
         assert trace[-1] == 0                        # fully unwound
-        assert max(trace) <= m                       # never wraps mod m+1
+        assert max(trace) <= m                       # never wraps mod 2^M
 
 
 def test_ir_text_golden():
@@ -248,11 +249,11 @@ def test_ir_text_golden():
     assert circuit.to_text() == (
         "oracle n=2 m=1 counter=1\n"
         "X q0\n"
-        "CADD mod=2 ctrls=[+q0,+q1]\n"
+        "CADD ctrls=[+q0,+q1]\n"
         "X q0\n"
-        "Z0C width=1\n"
+        "Z0C\n"
         "X q0\n"
-        "CSUB mod=2 ctrls=[+q0,+q1]\n"
+        "CSUB ctrls=[+q0,+q1]\n"
         "X q0\n")
 
 
@@ -363,6 +364,30 @@ def test_diagonal_rejects_unrestoring_circuit():
         live_counter_apply(dataclasses.replace(
             circuit, gates=tuple(gates[:csub] + gates[csub + 1:])),
             np.ones(8, dtype=complex))
+
+
+def test_steppers_agree_modulo_two_to_the_m():
+    # hand-built circuits on n = 2 inputs and M = 2 counter qubits, whose
+    # counter does leave 0..m: the three steppers all count modulo 2^M
+    cadd = MultiControlledAdd(controls=(0,))
+    wraps = CircuitIR(input_qubits=2, counter_qubits=2, clause_count=3,
+                      gates=(cadd,) * 4 + (ZeroPhaseOnCounter(),))
+    assert circuit_diagonal(wraps).tolist() == [-1.0] * 4
+    for y in range(4):
+        index, trace, phase = step_oracle_circuit(wraps, y)
+        assert (index, phase) == (y, -1)
+        assert trace == ([1, 2, 3, 0, 0] if y >= 2 else [0] * 5)
+    amps = np.arange(1.0, 5.0)
+    assert np.array_equal(live_counter_apply(wraps, amps), -amps)
+
+    lone = dataclasses.replace(
+        wraps, gates=(MultiControlledAdd(controls=(0,), subtract=True),))
+    assert [step_oracle_circuit(lone, y)[1] for y in range(4)] == \
+        [[0], [0], [3], [3]]
+    with pytest.raises(InvariantError, match="does not restore input 2"):
+        circuit_diagonal(lone)
+    with pytest.raises(InvariantError):
+        live_counter_apply(lone, amps)
 
 
 def test_compiled_table_built_once_per_function(monkeypatch):

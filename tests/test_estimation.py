@@ -25,7 +25,7 @@ def test_q_operator_equals_grover_iterate():
     # with uniform preparation, the estimation iterate is exactly G
     f = marked_function(3, [1, 6])
     a = apply_hadamard_all(init_basis(3, 0), range(0, 3))
-    b = a.copy()
+    b = StateVector(a.qubit_count, a.amps.copy())
     _apply_q(f, a)
     apply_grover_iterate(f, b)
     assert np.abs(a.amps - b.amps).max() < 1e-12
