@@ -17,10 +17,11 @@ header.
 Every gate maps basis states to basis states and the counter always comes
 back to |0..0>, so the whole circuit acts on the input register as one +-1
 diagonal. `circuit_diagonal` is the one gate stepper: it carries a counter
-and a phase bit for all 2^n inputs at once through the gates (a compiled
-oracle is a BooleanFunction with that diagonal as its truth table). Tests
-check the diagonal against `CnfFormula.truth_values`, the one-input stepper
-in `tests/reference.py` and the live-counter execution
+and a phase bit for all 2^n inputs at once through the gates and returns
+the phase bits, 1 byte per input (a compiled oracle is a BooleanFunction
+whose marked set is where they are set). Tests check the phase bits
+against `CnfFormula.truth_values`, the one-input stepper in
+`tests/reference.py` and the live-counter execution
 `tests/conftest.py::live_counter_apply`. A constant formula (no clauses, or
 the empty clause) has no circuit and gets a constant oracle.
 """
@@ -126,14 +127,15 @@ def compile_phase_oracle(formula: cnfmod.CnfFormula) -> CircuitIR:
 
 
 def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
-    """The +-1 diagonal the circuit realizes on the input register, from one
-    run of all 2^n basis inputs |y>|0>_C, each carried as a counter and a
-    phase bit. Only X moves an input bit, so the register reads y ^ flips,
-    one integer for all inputs: CADD/CSUB step the counter by +-1 where
-    every control holds (one mask test for all of them), Z0C toggles the
-    phase where the counter is 0 modulo 2^M. Raises InvariantError unless
-    flips ends at 0 and every counter at 0, the condition under which the
-    circuit acts on |y>|0>_C as (+-1)|y>|0>_C.
+    """The diagonal the circuit realizes on the input register as 2^n phase
+    bits, True where it is -1, from one run of all 2^n basis inputs
+    |y>|0>_C, each carried as a counter and a phase bit. Only X moves an
+    input bit, so the register reads y ^ flips, one integer for all inputs:
+    CADD/CSUB step the counter by +-1 where every control holds (one mask
+    test for all of them), Z0C toggles the phase where the counter is 0
+    modulo 2^M. Raises InvariantError unless flips ends at 0 and every
+    counter at 0, the condition under which the circuit acts on |y>|0>_C as
+    (+-1)|y>|0>_C.
     """
     n = circuit.input_qubits
     check_capacity(n)
@@ -159,19 +161,15 @@ def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
         raise InvariantError(
             f"circuit does not restore input {y}: it ends at input "
             f"{y ^ flips} with counter {int(counter[y]) & mask}")
-    return np.where(flipped, -1.0, 1.0)
-
-
-def _compiled_truth_values(formula: cnfmod.CnfFormula) -> np.ndarray:
-    return (circuit_diagonal(compile_phase_oracle(formula)) < 0) \
-        .astype(np.uint8)
+    return flipped
 
 
 def oracle_from_formula(formula: cnfmod.CnfFormula) -> BooleanFunction:
-    """BooleanFunction whose truth table is the diagonal of the formula's
-    compiled circuit, propagated once on first use. Its restrictions are
-    compiled from the restricted formula the same way."""
-    return BooleanFunction.from_cnf(formula, _compiled_truth_values)
+    """BooleanFunction whose marked set is where the formula's compiled
+    circuit flips the phase, propagated once on first use. Its restrictions
+    are compiled from the restricted formula the same way."""
+    return BooleanFunction.from_cnf(formula, lambda g: np.flatnonzero(
+        circuit_diagonal(compile_phase_oracle(g))))
 
 
 def gate_count(circuit: CircuitIR, elementary: bool = False) -> int:

@@ -1,14 +1,18 @@
 """Boolean functions and their phase oracles.
 
 A BooleanFunction is immutable after construction and backs every oracle in
-the package. It is one truth table, built on first use and cached, plus the
-CNF formula it came from, if any, which `restrict` restricts. The table comes
-from an explicit table, a constant, a CNF formula evaluated directly, or the
-diagonal of the formula's compiled oracle circuit (see the `compiler`
-module). The phase oracle Z_f flips the sign of basis states with f(x) = 1
-and charges nothing itself: `grover.run_grover` charges a shot's k oracle
-queries, `estimation.run_count` a counting run's grid - 1, and `evaluate`
-one classical query per call given a ledger.
+the package. It is its marked set, the ascending indices x with f(x) = 1,
+built on first use and kept, plus the CNF formula it came from, if any, which
+`restrict` restricts. The set comes from an explicit table, a constant, a CNF
+formula evaluated directly, or the phase bits of the formula's compiled
+oracle circuit (see the `compiler` module). Every other view of f derives
+from it: `evaluate` is a binary search, `solution_count` its length, and
+`truth_values` a fresh table built from it. The phase oracle Z_f negates
+just the marked amplitudes, in place, and charges nothing itself:
+`grover.run_grover` charges a shot's k oracle queries, `estimation.run_count`
+a counting run's grid - 1, and `evaluate` one classical query per call given
+a ledger. A function holds 8 bytes per marked input and nothing of the
+state's size.
 
 An input x is a basis index of any integer type (Python or NumPy; variable
 1 / qubit 0 is the most significant bit) or its bits: a string of "0"/"1"
@@ -67,8 +71,9 @@ def _digits(text: str) -> np.ndarray:
 class BooleanFunction:
     """n-variable Boolean function with exact query accounting hooks.
 
-    `build(formula)` returns the 2^arity truth values as uint8; it runs once,
-    on first use. `formula` is the CNF the function came from, or None;
+    `build(formula)` returns the marked set, the ascending indices x with
+    f(x) = 1 as an integer array; it runs once, on first use, behind
+    `check_capacity`. `formula` is the CNF the function came from, or None;
     `restrict` restricts it and builds the subfunction with the same `build`.
     """
 
@@ -79,8 +84,7 @@ class BooleanFunction:
         self.arity = arity
         self.formula = formula
         self._build = build
-        self._truth_cache: np.ndarray | None = None
-        self._signs_cache: np.ndarray | None = None
+        self._marked: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -89,19 +93,21 @@ class BooleanFunction:
         raw = _digits(bits) if isinstance(bits, str) else np.asarray(bits)
         if not ((raw == 0) | (raw == 1)).all():
             raise UsageError("truth table entries must be 0 or 1")
-        table = raw.astype(np.uint8)
-        size = table.shape[0]
+        size = raw.shape[0]
         arity = size.bit_length() - 1
         if size != (1 << arity) or arity < 1:
             raise UsageError(f"truth table length {size} is not a power of "
                              "two >= 2")
-        return cls(arity, lambda _: table)
+        marked = np.flatnonzero(raw)
+        return cls(arity, lambda _: marked)
 
     @classmethod
     def from_cnf(cls, formula: cnfmod.CnfFormula,
-                 build=cnfmod.CnfFormula.truth_values) -> "BooleanFunction":
-        """The formula's function, tabulated by `build(formula)`; a constant
-        formula (no clauses, or an empty clause) gives `constant`."""
+                 build=lambda g: np.flatnonzero(g.truth_values())
+                 ) -> "BooleanFunction":
+        """The formula's function, its marked set built by `build(formula)`
+        (by default from the formula's truth table); a constant formula (no
+        clauses, or an empty clause) gives `constant`."""
         if formula.constant_false or formula.is_constant_true:
             return cls.constant(formula.variable_count,
                                 formula.is_constant_true)
@@ -109,8 +115,7 @@ class BooleanFunction:
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "BooleanFunction":
-        value = int(bool(value))
-        return cls(arity, lambda _: np.full(1 << arity, value, np.uint8))
+        return cls(arity, lambda _: np.arange(1 << arity if value else 0))
 
     @classmethod
     def from_table_text(cls, text: str) -> "BooleanFunction":
@@ -152,38 +157,44 @@ class BooleanFunction:
         index = _as_index(x, self.arity)
         if ledger is not None:
             ledger.add_classical(1)
-        return int(self.truth_values()[index])
+        marked = self._marked_set()
+        i = int(marked.searchsorted(index))
+        return int(i < marked.shape[0] and marked[i] == index)
+
+    def _marked_set(self) -> np.ndarray:
+        """The ascending indices x with f(x) = 1, built on first use."""
+        if self._marked is None:
+            check_capacity(self.arity)
+            self._marked = self._build(self.formula)
+        return self._marked
 
     def truth_values(self) -> np.ndarray:
-        """All 2^n values; a test-harness oracle, never charged as queries."""
-        check_capacity(self.arity)
-        if self._truth_cache is None:
-            self._truth_cache = self._build(self.formula)
-        return self._truth_cache
+        """All 2^n values as a fresh uint8 array; a test-harness oracle,
+        never charged as queries."""
+        table = np.zeros(1 << self.arity, np.uint8)
+        table[self._marked_set()] = 1
+        return table
 
     def solution_count(self) -> int:
-        return int(self.truth_values().sum())
+        return len(self._marked_set())
 
     def phase_signs(self) -> np.ndarray:
-        """(-1)^f(x) over all basis indices, as 1 - 2 f(x) built in place in
-        one float64 array."""
-        if self._signs_cache is None:
-            signs = self.truth_values().astype(float)
-            signs *= -2.0
-            signs += 1.0
-            self._signs_cache = signs
-        return self._signs_cache
+        """(-1)^f(x) over all basis indices as a fresh float64 array."""
+        return 1.0 - 2.0 * self.truth_values()
 
     # -- quantum surface ---------------------------------------------------
 
     def apply_phase_oracle(self, state: StateVector,
                            register: range) -> StateVector:
-        """Z_f on `register`. Charges nothing: the caller's ledger counts
-        the query (see `grover.run_grover`)."""
-        if len(register) != self.arity:
-            raise UsageError(f"register width {len(register)} does not match "
-                             f"arity {self.arity}")
-        return apply_diagonal_phase(state, register, self.phase_signs())
+        """Z_f on `register`, which must be the whole of an n-qubit state,
+        range(0, n). Charges nothing: the caller's ledger counts the query
+        (see `grover.run_grover`)."""
+        n = self.arity
+        if register != range(n) or state.qubit_count != n:
+            raise UsageError(f"the phase oracle of arity {n} acts on "
+                             f"range(0, {n}) of a {n}-qubit state, not "
+                             f"{register} of {state.qubit_count} qubits")
+        return apply_diagonal_phase(state, self._marked_set())
 
     # -- decomposition ------------------------------------------------------
 
@@ -197,7 +208,7 @@ class BooleanFunction:
         if self.formula is not None:
             return BooleanFunction.from_cnf(
                 cnfmod.restrict_cnf(self.formula, bits), self._build)
-        y = int(bits, 2)
-        table = self.truth_values().reshape(1 << (n - k), 1 << k)[:, y].copy()
-        return BooleanFunction(n - k, lambda _: table)
+        marked = self._marked_set()
+        sub = marked[(marked & ((1 << k) - 1)) == int(bits, 2)] >> k
+        return BooleanFunction(n - k, lambda _: sub)
 

@@ -168,16 +168,14 @@ def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
     return _check_norm(state)
 
 
-def apply_diagonal_phase(state: StateVector, register: range,
-                         signs) -> StateVector:
-    """Multiply each amplitude by the +-1 sign of its register bits, given
-    as an array of 2^width signs indexed by the register's basis value."""
-    _check_register(state.qubit_count, register)
-    before, mid, after = _split_shape(state.qubit_count, register)
-    signs = np.asarray(signs, dtype=np.float64)
-    if signs.shape != (mid,):
-        raise UsageError("sign array length must be 2^register-width")
-    state.amps.reshape(before, mid, after)[:] *= signs[None, :, None]
+def apply_diagonal_phase(state: StateVector, marked) -> StateVector:
+    """Negate the amplitudes at the basis indices `marked`, an ascending
+    integer array over the whole state (in place). Only its two ends are
+    checked against the state's 2^q indices."""
+    size = state.amps.shape[0]
+    if len(marked) and not 0 <= marked[0] <= marked[-1] < size:
+        raise UsageError(f"marked indices must lie in [0, {size})")
+    state.amps[marked] *= -1.0
     return _check_norm(state)
 
 

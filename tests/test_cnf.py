@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,8 +275,9 @@ def test_compiled_oracle_matches_formula(rng):
     formula = random_3cnf(5, 6, rng)
     oracle = oracle_from_formula(formula)
     assert np.array_equal(oracle.truth_values(), formula.truth_values())
-    diag = circuit_diagonal(compile_phase_oracle(formula))
-    assert np.array_equal(diag, 1.0 - 2.0 * formula.truth_values())
+    bits = circuit_diagonal(compile_phase_oracle(formula))
+    assert bits.dtype == bool
+    assert np.array_equal(bits, formula.truth_values() == 1)
 
 
 def test_mask_tables_match_a_per_literal_reference(rng):
@@ -298,7 +300,7 @@ def test_mask_diagonals_match_a_per_gate_reference(rng):
                     for y in range(1 << n)]
             assert all(restored for _, restored in runs)
             assert np.array_equal(circuit_diagonal(circuit),
-                                  [phase for phase, _ in runs])
+                                  [phase == -1 for phase, _ in runs])
 
 
 def test_compiled_oracle_phase_on_superposition(rng):
@@ -346,7 +348,7 @@ def test_diagonal_matches_live_counter_execution(rng):
         amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
         # both are exact permutations and sign flips, so equality is exact
         assert np.array_equal(live_counter_apply(circuit, amps),
-                              amps * circuit_diagonal(circuit))
+                              np.where(circuit_diagonal(circuit), -amps, amps))
 
 
 def test_diagonal_rejects_unrestoring_circuit():
@@ -372,7 +374,7 @@ def test_steppers_agree_modulo_two_to_the_m():
     cadd = MultiControlledAdd(controls=(0,))
     wraps = CircuitIR(input_qubits=2, counter_qubits=2, clause_count=3,
                       gates=(cadd,) * 4 + (ZeroPhaseOnCounter(),))
-    assert circuit_diagonal(wraps).tolist() == [-1.0] * 4
+    assert circuit_diagonal(wraps).tolist() == [True] * 4
     for y in range(4):
         index, trace, phase = step_oracle_circuit(wraps, y)
         assert (index, phase) == (y, -1)
@@ -388,6 +390,37 @@ def test_steppers_agree_modulo_two_to_the_m():
         circuit_diagonal(lone)
     with pytest.raises(InvariantError):
         live_counter_apply(lone, amps)
+
+
+def _planted_3cnf(n: int, m: int, rng) -> tuple[CnfFormula, int]:
+    # m random 3-clauses, each satisfied by one hidden assignment
+    hidden = rng.getrandbits(n)
+    clauses = []
+    while len(clauses) < m:
+        clause = tuple(v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, n + 1), 3))
+        if any((lit > 0) == bool(hidden >> (n - abs(lit)) & 1)
+               for lit in clause):
+            clauses.append(clause)
+    return CnfFormula(n, clauses), hidden
+
+
+def test_cnf_function_holds_its_marked_set_not_a_table(rng):
+    # a built CNF function, tabulated or compiled, keeps 8 bytes per marked
+    # input; a 2^n-byte truth table would be eight times the bound
+    n = 18
+    formula, hidden = _planted_3cnf(n, 4 * n, rng)
+    for build in (BooleanFunction.from_cnf, oracle_from_formula):
+        tracemalloc.start()
+        try:
+            f = build(formula)
+            before = tracemalloc.get_traced_memory()[0]
+            count = f.solution_count()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert count >= 1 and f.evaluate(hidden) == 1
+        assert held <= (1 << n) // 8
 
 
 def test_compiled_table_built_once_per_function(monkeypatch):

@@ -225,13 +225,15 @@ def test_run_grover_deterministic():
     assert a == b
 
 
-def test_run_grover_peaks_below_three_and_a_half_states():
-    # a shot holds its state, the sign array and one distribution (8 bytes
-    # per amplitude each) or, while an iterate runs, the Hadamard scratch
-    # (6) in place of the distribution; the truth table is built beforehand
+def test_run_grover_peaks_below_two_and_a_half_states():
+    # a shot holds its state and one distribution (8 bytes per amplitude
+    # each) or, while an iterate runs, the Hadamard scratch (6) in place of
+    # the distribution; the phase oracle negates the marked amplitudes in
+    # place and allocates nothing of the state's size; the marked set is
+    # built beforehand
     n, a = 18, 1024
     f = first_k_marked(n, a)
-    f.truth_values()
+    f.solution_count()
     tracemalloc.start()
     try:
         outcome = run_grover(f, a, 3, QueryLedger())
@@ -239,7 +241,7 @@ def test_run_grover_peaks_below_three_and_a_half_states():
     finally:
         tracemalloc.stop()
     assert outcome.is_solution == f.evaluate(outcome.measured_x)
-    assert peak <= 3.5 * (8 << n)
+    assert peak <= 2.5 * (8 << n)
 
 
 def test_evolution_restart_peaks_at_the_memory_it_already_holds():

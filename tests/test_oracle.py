@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from distgrover import (BooleanFunction, ParseError, QueryLedger, UsageError,
-                        apply_diagonal_phase, apply_hadamard_all,
-                        apply_zero_reflection, init_basis)
+                        apply_hadamard_all, apply_zero_reflection, init_basis,
+                        oracle_from_formula)
 from distgrover.cnf import CnfFormula
 from distgrover.statevector import StateVector
 
-from conftest import marked_function
+from conftest import marked_function, random_3cnf
+from reference import reference_truth_values
 
 
 def uniform(n):
@@ -118,6 +119,35 @@ def test_phase_oracle_width_mismatch():
         f.apply_phase_oracle(init_basis(3, 0), range(0, 2))
 
 
+def test_phase_oracle_acts_only_on_the_whole_state():
+    f = marked_function(3, [1, 6])
+    for register, q in ((range(1, 3), 3), (range(0, 3), 4)):
+        s = uniform(q)
+        before = s.amps.copy()
+        with pytest.raises(UsageError):
+            f.apply_phase_oracle(s, register)
+        assert np.array_equal(s.amps, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_phase_oracle_negates_exactly_the_marked_amplitudes(dtype):
+    rng = np.random.default_rng(23)
+    for n in range(1, 13):
+        size = 1 << n
+        for t in sorted({0, 1, 2, size // 3, size - 1, size}):
+            truth = np.zeros(size, np.uint8)
+            truth[rng.choice(size, t, replace=False)] = 1
+            amps = rng.normal(size=size).astype(dtype)
+            if dtype == np.complex128:
+                amps += 1j * rng.normal(size=size)
+            amps /= np.linalg.norm(amps)
+            s = StateVector(n, amps.copy())
+            BooleanFunction.from_truth_table(truth).apply_phase_oracle(
+                s, range(0, n))
+            assert s.amps.dtype == dtype
+            assert np.array_equal(s.amps, amps * (1.0 - 2.0 * truth))
+
+
 def test_phase_oracle_self_inverse():
     f = marked_function(3, [1, 6])
     s = uniform(3)
@@ -142,8 +172,8 @@ def test_zero_reflection():
 
 
 def test_zero_reflection_matches_sign_array():
-    # negating the all-zero slice is exact, so it equals the diagonal phase
-    # with the sign array -1 at register value 0 and +1 elsewhere
+    # negating the all-zero slice is exact, so it equals multiplying by the
+    # sign array -1 at register value 0 and +1 elsewhere
     rng = np.random.default_rng(19)
     for q in range(1, 7):
         for start in range(q):
@@ -155,9 +185,9 @@ def test_zero_reflection_matches_sign_array():
                 signs[0] = -1.0
                 s = apply_zero_reflection(StateVector(q, amps.copy()),
                                           register)
-                expected = apply_diagonal_phase(StateVector(q, amps.copy()),
-                                                register, signs)
-                assert np.array_equal(s.amps, expected.amps)
+                shape = (1 << start, len(signs), 1 << (q - stop))
+                expected = amps.reshape(shape) * signs[None, :, None]
+                assert np.array_equal(s.amps, expected.reshape(-1))
 
 
 def test_restrict_examples():
@@ -174,6 +204,35 @@ def test_restrict_examples():
     f = marked_function(3, [0b101])
     assert list(f.restrict("1").truth_values()) == [0, 0, 1, 0]
     assert f.restrict("0").solution_count() == 0
+
+
+def _views_match(f, table):
+    assert [f.evaluate(x) for x in range(len(table))] == table.tolist()
+    assert f.solution_count() == int(table.sum())
+    truth = f.truth_values()
+    assert truth.dtype == np.uint8 and np.array_equal(truth, table)
+
+
+def test_every_view_matches_the_source_table(rng):
+    # evaluate, solution_count and truth_values all derive from the marked
+    # set; each must read the table the function came from, on the
+    # function and on its restrictions at k = 1 and k = n - 1
+    gen = np.random.default_rng(29)
+    for n in (2, 3, 5, 8):
+        formula = random_3cnf(n, n + 1, rng)
+        table = gen.integers(0, 2, size=1 << n).astype(np.uint8)
+        cases = [(BooleanFunction.from_truth_table(table), table)]
+        cases += [(BooleanFunction.constant(n, value),
+                   np.full(1 << n, value, np.uint8)) for value in (0, 1)]
+        cases += [(build(formula), reference_truth_values(formula))
+                  for build in (BooleanFunction.from_cnf,
+                                oracle_from_formula)]
+        for f, table in cases:
+            _views_match(f, table)
+            for k in sorted({1, n - 1}):
+                for y in sorted({0, (1 << k) - 1, int(gen.integers(1 << k))}):
+                    _views_match(f.restrict(format(y, f"0{k}b")),
+                                 table[y::1 << k])
 
 
 def test_restrict_consistency_exhaustive():

@@ -87,27 +87,37 @@ def test_hadamard_matches_butterfly_reference():
 
 def test_diagonal_phase_examples():
     s = apply_hadamard_all(init_basis(2, 0), range(0, 2))
-    apply_diagonal_phase(s, range(0, 2), [-1, 1, 1, 1])
+    apply_diagonal_phase(s, np.array([0]))
     assert np.allclose(s.amps, [-0.5, 0.5, 0.5, 0.5])
 
     s = apply_hadamard_all(init_basis(2, 0), range(0, 2))
-    apply_diagonal_phase(s, range(0, 2), [1, 1, 1, 1])
+    apply_diagonal_phase(s, np.array([], dtype=np.intp))
     assert np.allclose(s.amps, [0.5] * 4)
 
     s = apply_hadamard_all(init_basis(2, 0), range(0, 2))
-    apply_diagonal_phase(s, range(0, 2), [1, 1, 1, -1])
+    apply_diagonal_phase(s, np.array([3]))
     assert np.allclose(s.amps, [0.5, 0.5, 0.5, -0.5])
 
 
 def test_diagonal_phase_involution():
     rng = np.random.default_rng(7)
-    signs = rng.choice([-1.0, 1.0], size=8)
+    marked = np.flatnonzero(rng.integers(0, 2, size=32))
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
     s = StateVector(5, amps.copy())
-    apply_diagonal_phase(s, range(1, 4), signs)
-    apply_diagonal_phase(s, range(1, 4), signs)
+    apply_diagonal_phase(s, marked)
+    apply_diagonal_phase(s, marked)
     assert np.abs(s.amps - amps).max() < 1e-12
+
+
+def test_diagonal_phase_rejects_an_index_outside_the_state():
+    # the ends of the ascending index array are checked before any write
+    for marked in ([-1, 2], [3, 8], [8]):
+        amps = np.full(8, math.sqrt(1 / 8))
+        s = StateVector(3, amps.copy())
+        with pytest.raises(UsageError, match="marked indices"):
+            apply_diagonal_phase(s, np.array(marked))
+        assert np.array_equal(s.amps, amps)
 
 
 def _z_transform(block):
@@ -275,7 +285,7 @@ def test_sample_at_or_past_the_total_draws_the_last_index(monkeypatch):
 def test_norm_preserved_after_operations():
     s = init_basis(4, 3)
     apply_hadamard_all(s, range(0, 4))
-    apply_diagonal_phase(s, range(1, 3), [1, 1, -1, 1])
+    apply_diagonal_phase(s, np.array([4, 5, 12, 13]))   # qubits 1, 2 read 10
     apply_controlled_powers(s, 2, _z_transform)
     assert abs(s.norm_squared() - 1.0) < 1e-9
 
@@ -289,7 +299,7 @@ def test_real_kernels_keep_dtype_in_place(dtype):
     f = marked_function(4, [2, 9])
     kernels = [
         lambda s: apply_hadamard_all(s, range(1, 4)),
-        lambda s: apply_diagonal_phase(s, range(0, 4), f.phase_signs()),
+        lambda s: apply_diagonal_phase(s, np.flatnonzero(f.truth_values())),
         lambda s: apply_zero_reflection(s, range(0, 3)),
         lambda s: apply_grover_iterate(f, s),
         lambda s: apply_controlled_powers(s, 3, QOperator(f).apply_batch),
