@@ -123,11 +123,13 @@ def _finalize(status: str, solution: int | None, winner: int | None,
 
 
 def _split(f: BooleanFunction, k: int, a: int) -> list[BooleanFunction]:
-    """The subfunctions of `decompose`, after checking a."""
-    subfunctions = decompose(f, k)
+    """The subfunctions of `decompose`, after checking k and then a, before
+    any work."""
+    _check_split(f.arity, k)
     if a < 1:
         raise UsageError("a must be >= 1")
-    return subfunctions
+    grover_iterations(f.arity, a)       # refuses a above 2^n
+    return decompose(f, k)
 
 
 def _plan(f_i: BooleanFunction, a: int, seed: int,

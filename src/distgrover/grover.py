@@ -13,7 +13,7 @@ oracle queries. The state after k iterates is the same array whichever way
 it was reached, so every draw samples the same distribution as a fresh run.
 
 Memory of one shot, per amplitude of its 2^n: the state (8 bytes) plus
-either an iterate's Hadamard scratch (6) or the final distribution (8),
+either an iterate's Hadamard scratch (8) or the final distribution (8),
 never both, since `Evolution` drops a distribution before it moves the
 state. The phase oracle negates f's marked amplitudes in place and holds
 nothing of the state's size. A shot therefore peaks near 2 times its state,

@@ -91,6 +91,9 @@ class BooleanFunction:
     @classmethod
     def from_truth_table(cls, bits) -> "BooleanFunction":
         raw = _digits(bits) if isinstance(bits, str) else np.asarray(bits)
+        if raw.ndim != 1:
+            raise UsageError(f"truth table must be a flat sequence of bits, "
+                             f"not a {raw.ndim}-D array")
         if not ((raw == 0) | (raw == 1)).all():
             raise UsageError("truth table entries must be 0 or 1")
         size = raw.shape[0]

@@ -12,15 +12,16 @@ appear only where an operation returns them (the inverse QFT's FFT in
 `estimation.apply_qft`); every kernel here works in place in the dtype it is
 given.
 
-Hadamard layers are in-place ±1 butterflies: qubits are taken two at a time
-as radix-4 butterflies (a trailing odd qubit as one radix-2 butterfly) on
-unnormalised sums, and a single 2^(-w/2) scale follows. A layer's scratch is
-three quarter-state arrays of the state's dtype, allocated once per call.
+A Hadamard layer is a ±1 Sylvester block product per group of up to five
+qubits, each one BLAS matrix product on unnormalised sums, and a single
+2^(-w/2) scale follows. A layer's scratch is one float64 array of the
+state's size (8 bytes per amplitude), allocated once per call and swapped
+with the state between products.
 
 A measurement allocates one float64 array, its distribution (8 bytes per
 amplitude), and sampling from it allocates nothing of its size: measuring a
-real state holds 16 bytes per amplitude, state and distribution, against
-14 while a Hadamard layer runs.
+real state holds 16 bytes per amplitude, state and distribution, as a
+Hadamard layer does, state and scratch.
 
 All operations preserve the norm to within 1e-9 (checked after every call)
 and are deterministic: there is no hidden global RNG; sampling takes an
@@ -29,6 +30,7 @@ explicit seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -41,6 +43,10 @@ DEFAULT_MAX_QUBITS = 26
 NORM_TOL = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
 _SAMPLE_CHUNK = 1 << 14     # probabilities per step of `sample`'s running sum
+_GROUP_QUBITS = 5           # qubits per block product of a Hadamard layer
+# H_5 = H x H x H x H x H with H = [[1, 1], [1, -1]]; its top-left 2^b corner
+# is H_b
+_H5 = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * _GROUP_QUBITS)
 
 
 def check_capacity(qubit_count: int) -> None:
@@ -128,40 +134,56 @@ def init_basis(qubit_count: int, basis_index: int) -> StateVector:
     return StateVector(qubit_count, amps)
 
 
+def _sylvester_products(amps: np.ndarray, scratch: np.ndarray,
+                        qubit_count: int, register: range) -> None:
+    """The unnormalised Walsh-Hadamard transform of `register`, in place on
+    a contiguous float64 array; `scratch` is another of its size. Each group
+    of qubits is one product with its ±1 block into the other array, and
+    the result is copied back when the group count is odd."""
+    count = -(-len(register) // _GROUP_QUBITS)
+    start = register.start
+    src, dst = amps, scratch
+    for j in range(count):
+        width = (len(register) + j) // count    # near-equal, widest last
+        before, mid, after = _split_shape(qubit_count,
+                                          range(start, start + width))
+        block = _H5[:mid, :mid]
+        if after == 1:
+            np.matmul(src.reshape(before, mid), block,
+                      out=dst.reshape(before, mid))
+        else:
+            np.matmul(block, src.reshape(before, mid, after),
+                      out=dst.reshape(before, mid, after))
+        src, dst = dst, src
+        start += width
+    if src is not amps:
+        np.copyto(amps, src)
+
+
 def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
     """Walsh-Hadamard transform on every qubit of `register` (in place).
 
-    Qubits j, j + 1 are transformed together: with a, b, c, d the amplitudes
-    whose two bits read 00, 01, 10, 11, one radix-4 butterfly writes
-    (a+b)±(c+d) and (a-b)±(c-d) back in place through three quarter-state
-    scratch arrays. An odd last qubit gets one radix-2 butterfly. One scale
-    at the end, 2^(-w/2) for a w-qubit register, normalises the result.
+    The register is split into ceil(w/5) near-equal groups of qubits, and
+    each group is one matrix product with the ±1 Sylvester block H_b of its
+    b qubits, the top-left 2^b corner of the 32 x 32 block H_5: a left
+    product batched over the qubits before the group, or, for a group that
+    ends the state, one right product. The products run on unnormalised
+    sums, through one scratch array of the state's size, and one scale at
+    the end, 2^(-w/2) for a w-qubit register, normalises the result. A
+    complex state's real and imaginary parts go through the same real
+    products, so its real part matches a real state's to the bit.
     """
     _check_register(state.qubit_count, register)
     amps = state.amps
-    scratch = np.empty(3 * amps.shape[0] // 4, amps.dtype)
-    for j in range(register.start, register.stop, 2):
-        if j + 1 < register.stop:
-            m = amps.reshape(1 << j, 4, -1)
-            a, b, c, d = (m[:, k, :] for k in range(4))
-            size = a.size
-            s, t, u = (scratch[k * size:(k + 1) * size].reshape(a.shape)
-                       for k in range(3))
-            np.add(a, b, out=s)
-            np.subtract(a, b, out=t)
-            np.add(c, d, out=u)
-            np.subtract(c, d, out=d)
-            np.add(s, u, out=a)
-            np.subtract(s, u, out=c)
-            np.add(t, d, out=b)
-            np.subtract(t, d, out=d)
-        else:
-            m = amps.reshape(1 << j, 2, -1)
-            top, bot = m[:, 0, :], m[:, 1, :]
-            saved = scratch[:top.size].reshape(top.shape)
-            np.copyto(saved, top)
-            np.add(top, bot, out=top)
-            np.subtract(saved, bot, out=bot)
+    if np.isrealobj(amps):
+        _sylvester_products(amps, np.empty_like(amps), state.qubit_count,
+                            register)
+    else:
+        part, scratch = np.empty((2, amps.shape[0]))
+        for view in (amps.real, amps.imag):
+            np.copyto(part, view)
+            _sylvester_products(part, scratch, state.qubit_count, register)
+            np.copyto(view, part)
     width = len(register)
     state.amps *= 0.5 ** (width // 2) * (_SQRT_HALF if width % 2 else 1.0)
     assert state.amps.shape == (1 << state.qubit_count,)

@@ -2,8 +2,9 @@
 state, the counting engine, and scalar CNF and oracle-circuit evaluation.
 
 `reference_hadamard_all` is the per-qubit butterfly Walsh-Hadamard transform
-that `distgrover.statevector.apply_hadamard_all` replaced with in-place
-radix-4 butterflies; the radix-4 kernel is checked against it.
+that `distgrover.statevector.apply_hadamard_all` replaced with ±1 block
+products, one matrix product per group of up to five qubits; the block
+kernel is checked against it.
 
 `reference_run_grover` is a Grover shot that builds its own state and
 charges one query per oracle call: the shot a distributed sweep ran before
@@ -57,7 +58,7 @@ def reference_hadamard_all(state: StateVector,
                            register: range) -> StateVector:
     """Walsh-Hadamard transform on every qubit of `register` (in place) as
     one strided butterfly pass per qubit: the kernel that
-    `statevector.apply_hadamard_all`'s radix-4 butterflies are checked
+    `statevector.apply_hadamard_all`'s block products are checked
     against."""
     _hadamard_layers(state.amps, 1, register)
     return state

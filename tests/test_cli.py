@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from distgrover import cli
+from distgrover import cli, distributed
 from distgrover.cli import REPORT_SCHEMA, main
 
 from conftest import marked_function
@@ -57,6 +57,28 @@ def test_grover_deterministic(tmp_path, capsys):
     _, b = run_cli(capsys, argv)
     a.pop("duration_seconds"), b.pop("duration_seconds")
     assert a == b
+
+
+def test_dist_checks_a_against_the_domain_before_any_work(tmp_path, capsys,
+                                                         monkeypatch):
+    # a promise of more solutions than inputs is refused, with grover's
+    # message and exit code 1, before the input is decomposed or any
+    # machine counts
+    def no_work(*_args):
+        raise AssertionError("work started before a was checked")
+
+    monkeypatch.setattr(distributed, "run_count", no_work)
+    monkeypatch.setattr(distributed, "decompose", no_work)
+    path = str(write_table(tmp_path, 3, [1, 6]))
+    for mode in ("serial", "parallel"):
+        assert main([f"dist-{mode}", "--input", path, "--k", "2",
+                     "--a", "100"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: solution count 100 exceeds domain size 2^3\n")
+    # k is checked before a
+    assert main(["dist-parallel", "--input", path, "--k", "3",
+                 "--a", "100"]) == 1
+    assert "k=3 must satisfy" in capsys.readouterr().err
 
 
 def test_grover_compiled_oracle_matches_table(tmp_path, capsys):

@@ -227,7 +227,7 @@ def test_run_grover_deterministic():
 
 def test_run_grover_peaks_below_two_and_a_half_states():
     # a shot holds its state and one distribution (8 bytes per amplitude
-    # each) or, while an iterate runs, the Hadamard scratch (6) in place of
+    # each) or, while an iterate runs, the Hadamard scratch (8) in place of
     # the distribution; the phase oracle negates the marked amplitudes in
     # place and allocates nothing of the state's size; the marked set is
     # built beforehand

@@ -70,6 +70,14 @@ def test_truth_table_entries_must_be_bits():
     assert f.truth_values().tolist() == [0, 1, 1, 0]
 
 
+def test_truth_table_must_be_one_dimensional():
+    # only a flat sequence is a truth table: a scalar or an array of two or
+    # more dimensions is a usage error, never an arity read off its shape
+    for bits in ([[0, 1], [1, 0]], [[[0, 1]]], 1, np.zeros((2, 4), int)):
+        with pytest.raises(UsageError, match="flat sequence"):
+            BooleanFunction.from_truth_table(bits)
+
+
 def test_evaluate_cnf():
     # (x1 or not-x2) and (not-x1 or x3)
     formula = CnfFormula(3, [(1, -2), (-1, 3)])

@@ -69,8 +69,8 @@ def test_hadamard_involution_random():
 
 
 def test_hadamard_matches_butterfly_reference():
-    # every contiguous register of up to 9 qubits: odd widths (a trailing
-    # radix-2 butterfly), registers not starting at qubit 0, and the
+    # every contiguous register of up to 9 qubits: one group or two, odd
+    # widths, registers not starting at qubit 0, and the
     # estimation shape (a 2-amplitude trailing target after the register)
     rng = np.random.default_rng(17)
     for q in range(1, 10):
@@ -83,6 +83,68 @@ def test_hadamard_matches_butterfly_reference():
                 apply_hadamard_all(s, range(start, stop))
                 reference_hadamard_all(ref, range(start, stop))
                 assert np.abs(s.amps - ref.amps).max() <= 1e-12
+
+
+def _random_real_state(rng, q):
+    amps = rng.normal(size=1 << q)
+    return StateVector(q, amps / np.linalg.norm(amps))
+
+
+def _assert_matches_reference(state, register):
+    ref = StateVector(state.qubit_count, state.amps.copy())
+    apply_hadamard_all(state, register)
+    reference_hadamard_all(ref, register)
+    assert np.abs(state.amps - ref.amps).max() <= 1e-12, register
+
+
+def test_hadamard_matches_butterfly_reference_on_wide_registers():
+    # registers of 10-13 qubits anywhere in a 13-qubit state (two groups,
+    # or three, whose odd count copies the result back), four groups at 16
+    # and 17 qubits, and estimation's shape: range(0, m) of m + 1 qubits,
+    # with one qubit after the register
+    rng = np.random.default_rng(29)
+    q = 13
+    for start in range(q - 9):
+        for stop in range(start + 10, q + 1):
+            _assert_matches_reference(_random_real_state(rng, q),
+                                      range(start, stop))
+    _assert_matches_reference(_random_real_state(rng, 16), range(0, 16))
+    _assert_matches_reference(_random_real_state(rng, 17), range(1, 17))
+    for m in range(1, 17):
+        _assert_matches_reference(_random_real_state(rng, m + 1),
+                                  range(0, m))
+
+
+def test_hadamard_real_state_matches_a_complex_copy_bit_for_bit():
+    # a complex state's real and imaginary parts go through the real
+    # products, so a complex copy of a real state keeps the real result to
+    # the bit, with a zero imaginary part, on every register
+    rng = np.random.default_rng(37)
+    for q in range(1, 10):
+        for start in range(q):
+            for stop in range(start + 1, q + 1):
+                real = _random_real_state(rng, q)
+                twin = StateVector(q, real.amps.astype(np.complex128))
+                apply_hadamard_all(real, range(start, stop))
+                apply_hadamard_all(twin, range(start, stop))
+                assert np.array_equal(twin.amps.real, real.amps)
+                assert not twin.amps.imag.any()
+
+
+def test_hadamard_layer_allocates_one_state():
+    # the products run through one scratch array of the state's size; the
+    # slack, 1/64 of a state, covers small objects
+    n = 18
+    rng = np.random.default_rng(41)
+    for register in (range(0, n), range(0, n - 1)):
+        s = _random_real_state(rng, n)
+        tracemalloc.start()
+        try:
+            apply_hadamard_all(s, register)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 << n) + (8 << n) // 64, register
 
 
 def test_diagonal_phase_examples():
