@@ -2,7 +2,7 @@
 quantum counting, distributed subfunction search, and CNF phase-oracle
 compilation, with exact query accounting throughout."""
 
-from .cnf import CnfFormula, parse_dimacs, restrict_cnf
+from .cnf import CnfFormula, parse_dimacs
 from .compiler import (CircuitIR, build_uk, compile_phase_oracle, gate_count,
                        oracle_from_formula)
 from .distributed import (CandidateSet, DistOutcome, build_candidate_set,

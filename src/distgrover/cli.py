@@ -29,7 +29,6 @@ from . import compiler, distributed, estimation, grover
 from .errors import DistGroverError, UsageError
 from .ledger import QueryLedger
 from .oracle import BooleanFunction, read_text
-from .statevector import check_capacity
 
 REPORT_SCHEMA = "distgrover-report/1"
 
@@ -43,7 +42,6 @@ def _load_function(args, text: str) -> BooleanFunction:
     if args.input.suffix not in (".cnf", ".dimacs"):
         return BooleanFunction.from_table_text(text)
     formula = cnfmod.parse_dimacs(text)
-    check_capacity(formula.variable_count)
     if args.oracle == "compiled":
         return compiler.oracle_from_formula(formula)
     return BooleanFunction.from_cnf(formula)

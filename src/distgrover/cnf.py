@@ -1,26 +1,26 @@
-"""CNF formulas: DIMACS parsing, the truth table, and restriction.
+"""CNF formulas: DIMACS parsing and the truth table.
 
 A literal is a signed 1-based variable index (positive = variable, negative
 = its negation). Variable 1 corresponds to qubit 0 and therefore to the most
 significant bit of an assignment index. Constant formulas are plain CNF: no
 clauses is constant true (the empty conjunction), and a formula holding the
 empty clause `()` is constant false, since no assignment satisfies it.
-Parsing keeps an empty clause as `()`, and restriction keeps a clause whose
-literals are all fixed false as `()`, so no case needs special handling.
+Parsing keeps an empty clause as `()`, so no case needs special handling.
 A formula is evaluated only as a whole, by `truth_values` over all 2^n
 assignments with one mask test per clause; the scalar per-literal
-evaluation it is checked against lives in `tests/reference.py`.
+evaluation it is checked against lives in `tests/reference.py`. A formula
+is not restricted: a CNF function's restriction filters its marked set,
+as every function's does (see `oracle.BooleanFunction.restrict`).
 """
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UsageError
+from .errors import ParseError
 
 
 @dataclass
@@ -60,20 +60,6 @@ class CnfFormula:
             np.not_equal(masked, negated, out=satisfied)
             values &= satisfied
         return values.view(np.uint8)
-
-
-_BITS = {0: "0", 1: "1", "0": "0", "1": "1"}
-
-
-def _as_bits(x) -> str:
-    """x as a string of "0"/"1" characters. Each element of x must be the
-    character "0" or "1" or an integer (Python or NumPy) 0 or 1; anything
-    else raises UsageError."""
-    try:
-        return "".join(_BITS[b if isinstance(b, str) else operator.index(b)]
-                       for b in x)
-    except (KeyError, TypeError):
-        raise UsageError(f"{x!r} is not an index or bits 0 and 1") from None
 
 
 def _clause_masks(clause: tuple[int, ...], n: int) -> tuple[int, int]:
@@ -161,32 +147,3 @@ def parse_dimacs(text: str) -> CnfFormula:
                          f"found {len(clauses) + dropped}")
     return CnfFormula(variable_count=n, clauses=clauses,
                       dropped_tautologies=dropped)
-
-
-def restrict_cnf(formula: CnfFormula, suffix) -> CnfFormula:
-    """Fix the last k variables to the bits of `suffix`.
-
-    Clauses with a satisfied literal are dropped and falsified literals are
-    removed, so a clause whose literals are all falsified becomes the empty
-    clause (constant false). Surviving prefix variables keep their indices.
-    `suffix` is a string or sequence of k bits assigning variables
-    n-k+1 .. n in order; any element other than "0", "1", 0 or 1 raises
-    UsageError.
-    """
-    bits = _as_bits(suffix)
-    k = len(bits)
-    n = formula.variable_count
-    if not 1 <= k < n:
-        raise UsageError(f"suffix length {k} must be in [1, {n - 1}]")
-    free = n - k
-    new_clauses: list[tuple[int, ...]] = []
-    for clause in formula.clauses:
-        kept: list[int] = []
-        for lit in clause:
-            if abs(lit) <= free:
-                kept.append(lit)
-            elif (bits[abs(lit) - free - 1] == "1") == (lit > 0):
-                break           # satisfied: the clause drops out
-        else:
-            new_clauses.append(tuple(kept))
-    return CnfFormula(variable_count=free, clauses=new_clauses)

@@ -18,12 +18,14 @@ Every gate maps basis states to basis states and the counter always comes
 back to |0..0>, so the whole circuit acts on the input register as one +-1
 diagonal. `circuit_diagonal` is the one gate stepper: it carries a counter
 and a phase bit for all 2^n inputs at once through the gates and returns
-the phase bits, 1 byte per input (a compiled oracle is a BooleanFunction
-whose marked set is where they are set). Tests check the phase bits
-against `CnfFormula.truth_values`, the one-input stepper in
-`tests/reference.py` and the live-counter execution
-`tests/conftest.py::live_counter_apply`. A constant formula (no clauses, or
-the empty clause) has no circuit and gets a constant oracle.
+the phase bits, 1 byte per input. `oracle_from_formula` runs it once, when
+the oracle is made: a compiled oracle is a BooleanFunction whose marked set
+is where the bits are set, and it restricts like any other function, by
+filtering that set. Tests check the phase bits against
+`CnfFormula.truth_values`, the one-input stepper in `tests/reference.py`
+and the live-counter execution `tests/conftest.py::live_counter_apply`.
+A constant formula (no clauses, or the empty clause) has no circuit and
+gets a constant oracle.
 """
 
 from __future__ import annotations
@@ -166,10 +168,13 @@ def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
 
 def oracle_from_formula(formula: cnfmod.CnfFormula) -> BooleanFunction:
     """BooleanFunction whose marked set is where the formula's compiled
-    circuit flips the phase, propagated once on first use. Its restrictions
-    are compiled from the restricted formula the same way."""
-    return BooleanFunction.from_cnf(formula, lambda g: np.flatnonzero(
-        circuit_diagonal(compile_phase_oracle(g))))
+    circuit flips the phase; a constant formula, which has no circuit,
+    gives the constant function."""
+    if formula.constant_false or formula.is_constant_true:
+        return BooleanFunction.constant(formula.variable_count,
+                                        formula.is_constant_true)
+    return BooleanFunction(formula.variable_count, np.flatnonzero(
+        circuit_diagonal(compile_phase_oracle(formula))))
 
 
 def gate_count(circuit: CircuitIR, elementary: bool = False) -> int:

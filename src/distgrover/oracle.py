@@ -1,18 +1,18 @@
 """Boolean functions and their phase oracles.
 
-A BooleanFunction is immutable after construction and backs every oracle in
-the package. It is its marked set, the ascending indices x with f(x) = 1,
-built on first use and kept, plus the CNF formula it came from, if any, which
-`restrict` restricts. The set comes from an explicit table, a constant, a CNF
-formula evaluated directly, or the phase bits of the formula's compiled
-oracle circuit (see the `compiler` module). Every other view of f derives
-from it: `evaluate` is a binary search, `solution_count` its length, and
-`truth_values` a fresh table built from it. The phase oracle Z_f negates
-just the marked amplitudes, in place, and charges nothing itself:
-`grover.run_grover` charges a shot's k oracle queries, `estimation.run_count`
-a counting run's grid - 1, and `evaluate` one classical query per call given
-a ledger. A function holds 8 bytes per marked input and nothing of the
-state's size.
+A BooleanFunction is its arity and its marked set, the ascending indices x
+with f(x) = 1, built when the function is made and never changed. The set
+comes from an explicit table, a constant, a CNF formula's truth table, or
+the phase bits of the formula's compiled oracle circuit (see the `compiler`
+module); a constructor that sizes an array by 2^n checks capacity before it
+allocates. Every other view of f derives from the set: `evaluate` is a
+binary search, `solution_count` its length, `truth_values` a fresh table
+built from it, and `restrict` one filter of it, whatever f came from. The
+phase oracle Z_f negates just the marked amplitudes, in place, and charges
+nothing itself: `grover.run_grover` charges a shot's k oracle queries,
+`estimation.run_count` a counting run's grid - 1, and `evaluate` one
+classical query per call given a ledger. A function holds 8 bytes per
+marked input and nothing of the state's size.
 
 An input x is a basis index of any integer type (Python or NumPy; variable
 1 / qubit 0 is the most significant bit) or its bits: a string of "0"/"1"
@@ -28,10 +28,22 @@ from pathlib import Path
 import numpy as np
 
 from . import cnf as cnfmod
-from .cnf import _as_bits
 from .errors import ParseError, UsageError
 from .ledger import QueryLedger
 from .statevector import StateVector, apply_diagonal_phase, check_capacity
+
+_BITS = {0: "0", 1: "1", "0": "0", "1": "1"}
+
+
+def _as_bits(x) -> str:
+    """x as a string of "0"/"1" characters. Each element of x must be the
+    character "0" or "1" or an integer (Python or NumPy) 0 or 1; anything
+    else raises UsageError."""
+    try:
+        return "".join(_BITS[b if isinstance(b, str) else operator.index(b)]
+                       for b in x)
+    except (KeyError, TypeError):
+        raise UsageError(f"{x!r} is not an index or bits 0 and 1") from None
 
 
 def _as_index(x, arity: int) -> int:
@@ -69,22 +81,15 @@ def _digits(text: str) -> np.ndarray:
 
 
 class BooleanFunction:
-    """n-variable Boolean function with exact query accounting hooks.
+    """n-variable Boolean function with exact query accounting hooks:
+    its arity and its marked set, the ascending indices x with f(x) = 1 as
+    an integer array."""
 
-    `build(formula)` returns the marked set, the ascending indices x with
-    f(x) = 1 as an integer array; it runs once, on first use, behind
-    `check_capacity`. `formula` is the CNF the function came from, or None;
-    `restrict` restricts it and builds the subfunction with the same `build`.
-    """
-
-    def __init__(self, arity: int, build,
-                 formula: cnfmod.CnfFormula | None = None):
+    def __init__(self, arity: int, marked: np.ndarray):
         if arity < 1:
             raise UsageError("arity must be >= 1")
         self.arity = arity
-        self.formula = formula
-        self._build = build
-        self._marked: np.ndarray | None = None
+        self._marked = marked
 
     # -- construction -----------------------------------------------------
 
@@ -101,24 +106,20 @@ class BooleanFunction:
         if size != (1 << arity) or arity < 1:
             raise UsageError(f"truth table length {size} is not a power of "
                              "two >= 2")
-        marked = np.flatnonzero(raw)
-        return cls(arity, lambda _: marked)
+        return cls(arity, np.flatnonzero(raw))
 
     @classmethod
-    def from_cnf(cls, formula: cnfmod.CnfFormula,
-                 build=lambda g: np.flatnonzero(g.truth_values())
-                 ) -> "BooleanFunction":
-        """The formula's function, its marked set built by `build(formula)`
-        (by default from the formula's truth table); a constant formula (no
-        clauses, or an empty clause) gives `constant`."""
-        if formula.constant_false or formula.is_constant_true:
-            return cls.constant(formula.variable_count,
-                                formula.is_constant_true)
-        return cls(formula.variable_count, build, formula)
+    def from_cnf(cls, formula: cnfmod.CnfFormula) -> "BooleanFunction":
+        """The formula's function, from its truth table over all 2^n
+        assignments (all ones for no clauses, all zeros for `()`)."""
+        check_capacity(formula.variable_count)
+        return cls(formula.variable_count,
+                   np.flatnonzero(formula.truth_values()))
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "BooleanFunction":
-        return cls(arity, lambda _: np.arange(1 << arity if value else 0))
+        check_capacity(arity)
+        return cls(arity, np.arange(1 << arity if value else 0))
 
     @classmethod
     def from_table_text(cls, text: str) -> "BooleanFunction":
@@ -160,26 +161,18 @@ class BooleanFunction:
         index = _as_index(x, self.arity)
         if ledger is not None:
             ledger.add_classical(1)
-        marked = self._marked_set()
-        i = int(marked.searchsorted(index))
-        return int(i < marked.shape[0] and marked[i] == index)
-
-    def _marked_set(self) -> np.ndarray:
-        """The ascending indices x with f(x) = 1, built on first use."""
-        if self._marked is None:
-            check_capacity(self.arity)
-            self._marked = self._build(self.formula)
-        return self._marked
+        i = int(self._marked.searchsorted(index))
+        return int(i < self._marked.shape[0] and self._marked[i] == index)
 
     def truth_values(self) -> np.ndarray:
         """All 2^n values as a fresh uint8 array; a test-harness oracle,
         never charged as queries."""
         table = np.zeros(1 << self.arity, np.uint8)
-        table[self._marked_set()] = 1
+        table[self._marked] = 1
         return table
 
     def solution_count(self) -> int:
-        return len(self._marked_set())
+        return len(self._marked)
 
     def phase_signs(self) -> np.ndarray:
         """(-1)^f(x) over all basis indices as a fresh float64 array."""
@@ -197,7 +190,7 @@ class BooleanFunction:
             raise UsageError(f"the phase oracle of arity {n} acts on "
                              f"range(0, {n}) of a {n}-qubit state, not "
                              f"{register} of {state.qubit_count} qubits")
-        return apply_diagonal_phase(state, self._marked_set())
+        return apply_diagonal_phase(state, self._marked)
 
     # -- decomposition ------------------------------------------------------
 
@@ -208,10 +201,6 @@ class BooleanFunction:
         n = self.arity
         if not 1 <= k < n:
             raise UsageError(f"suffix length {k} must be in [1, {n - 1}]")
-        if self.formula is not None:
-            return BooleanFunction.from_cnf(
-                cnfmod.restrict_cnf(self.formula, bits), self._build)
-        marked = self._marked_set()
-        sub = marked[(marked & ((1 << k) - 1)) == int(bits, 2)] >> k
-        return BooleanFunction(n - k, lambda _: sub)
-
+        marked = self._marked
+        return BooleanFunction(
+            n - k, marked[(marked & ((1 << k) - 1)) == int(bits, 2)] >> k)

@@ -16,7 +16,6 @@ from distgrover import (
     parse_dimacs,
     run_grover,
 )
-from distgrover.cnf import restrict_cnf
 from distgrover.compiler import (
     ELEMENTARY_SCALING_CONSTANT,
     CircuitIR,
@@ -137,26 +136,9 @@ def test_restrict_cnf_matches_table_restriction(rng):
         for k in range(1, n):
             for y in range(1 << k):
                 suffix = format(y, f"0{k}b")
-                sub = restrict_cnf(formula, suffix)
-                assert np.array_equal(sub.truth_values(), full[y::1 << k])
-                assert np.array_equal(reference_truth_values(sub),
-                                      full[y::1 << k])
                 for f in functions:
                     assert np.array_equal(f.restrict(suffix).truth_values(),
                                           full[y::1 << k])
-
-
-def test_restrict_cnf_cases():
-    formula = CnfFormula(variable_count=3, clauses=[(1, 3), (-3,)])
-    # x3 = 1 falsifies (-3) -> constant false
-    assert restrict_cnf(formula, "1").constant_false
-    # x3 = 0 satisfies (-3), shrinks (1, 3) to (1,)
-    sub = restrict_cnf(formula, "0")
-    assert sub.clauses == [(1,)]
-    assert sub.variable_count == 2
-    # a suffix's bits may be characters or integers, NumPy ones included
-    for suffix in ("0", [0], (np.int64(0),), np.zeros(1, np.uint8)):
-        assert restrict_cnf(formula, suffix).clauses == [(1,)]
 
 
 @pytest.mark.parametrize("suffix", ["2", [2], [-1], [1.7], [1.0], ["10"],
@@ -164,9 +146,14 @@ def test_restrict_cnf_cases():
                          ids=["char 2", "int 2", "int -1", "float 1.7",
                               "float 1.0", "string 10", "None", "char b"])
 def test_restrict_cnf_rejects_a_suffix_that_is_not_bits(suffix):
+    # tabulated and compiled CNF functions restrict by the one marked-set
+    # filter, which reads a suffix as bits before anything else
     for clause in ((2,), (-2,)):
-        with pytest.raises(UsageError, match="bits 0 and 1"):
-            restrict_cnf(CnfFormula(2, [clause]), suffix)
+        formula = CnfFormula(2, [clause])
+        for f in (BooleanFunction.from_cnf(formula),
+                  oracle_from_formula(formula)):
+            with pytest.raises(UsageError, match="bits 0 and 1"):
+                f.restrict(suffix)
 
 
 def test_build_uk_flips_and_controls():
@@ -212,7 +199,6 @@ def test_constant_formulas_give_constant_oracles():
     for formula, value in [(CnfFormula(variable_count=3, clauses=[]), 1),
                            (parse_dimacs("p cnf 3 2\n0\n1 0\n"), 0)]:
         oracle = oracle_from_formula(formula)
-        assert oracle.formula is None
         assert oracle.truth_values().tolist() == [value] * 8
 
 
@@ -406,24 +392,24 @@ def _planted_3cnf(n: int, m: int, rng) -> tuple[CnfFormula, int]:
 
 
 def test_cnf_function_holds_its_marked_set_not_a_table(rng):
-    # a built CNF function, tabulated or compiled, keeps 8 bytes per marked
-    # input; a 2^n-byte truth table would be eight times the bound
+    # a CNF function, tabulated or compiled, keeps 8 bytes per marked input
+    # once it is made; a 2^n-byte truth table would be eight times the bound
     n = 18
     formula, hidden = _planted_3cnf(n, 4 * n, rng)
     for build in (BooleanFunction.from_cnf, oracle_from_formula):
         tracemalloc.start()
         try:
-            f = build(formula)
             before = tracemalloc.get_traced_memory()[0]
-            count = f.solution_count()
+            f = build(formula)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert count >= 1 and f.evaluate(hidden) == 1
+        assert f.solution_count() >= 1 and f.evaluate(hidden) == 1
         assert held <= (1 << n) // 8
 
 
-def test_compiled_table_built_once_per_function(monkeypatch):
+def test_compiled_oracle_compiles_once_and_restricts_by_filtering(
+        monkeypatch):
     calls = []
 
     def counting_diagonal(circuit):
@@ -440,4 +426,4 @@ def test_compiled_table_built_once_per_function(monkeypatch):
     sub = f.restrict("1")
     for _ in range(2):
         run_grover(sub, 1, 5, QueryLedger())
-    assert calls == [6, 5]
+    assert calls == [6]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from distgrover import (BooleanFunction, ParseError, QueryLedger, UsageError,
-                        apply_hadamard_all, apply_zero_reflection, init_basis,
-                        oracle_from_formula)
+from distgrover import (BooleanFunction, CapacityError, ParseError,
+                        QueryLedger, UsageError, apply_hadamard_all,
+                        apply_zero_reflection, init_basis, oracle_from_formula)
 from distgrover.cnf import CnfFormula
 from distgrover.statevector import StateVector
 
@@ -48,15 +48,17 @@ def _table_and_cnf_functions():
 
 def test_restrict_rejects_digits_other_than_0_and_1():
     for f in _table_and_cnf_functions():
-        for suffix in ("2", "x", [2], [0, -1]):
-            with pytest.raises(UsageError):
+        for suffix in ("2", "x", [2], [0, -1], [-1], [None], ["b"], ["10"]):
+            with pytest.raises(UsageError, match="bits 0 and 1"):
                 f.restrict(suffix)
 
 
 def test_restrict_accepts_integer_bits_only():
     for f in _table_and_cnf_functions():
-        assert np.array_equal(f.restrict([np.int64(0), 1]).truth_values(),
-                              f.restrict("01").truth_values())
+        for bits in ([np.int64(0), 1], (0, np.int64(1)),
+                     np.array([0, 1], np.uint8)):
+            assert np.array_equal(f.restrict(bits).truth_values(),
+                                  f.restrict("01").truth_values())
         for suffix in ([0, 1.7], [1.0], 1):
             with pytest.raises(UsageError):
                 f.restrict(suffix)
@@ -76,6 +78,17 @@ def test_truth_table_must_be_one_dimensional():
     for bits in ([[0, 1], [1, 0]], [[[0, 1]]], 1, np.zeros((2, 4), int)):
         with pytest.raises(UsageError, match="flat sequence"):
             BooleanFunction.from_truth_table(bits)
+
+
+def test_constructors_check_capacity_before_allocating(monkeypatch):
+    # each would size an array by 2^40 if it did not check first
+    monkeypatch.delenv("DISTGROVER_MAX_QUBITS", raising=False)
+    for make in (lambda: BooleanFunction.constant(40, 1),
+                 lambda: BooleanFunction.from_cnf(CnfFormula(40, [(1,)])),
+                 lambda: oracle_from_formula(CnfFormula(40, [(1,)])),
+                 lambda: oracle_from_formula(CnfFormula(40, []))):
+        with pytest.raises(CapacityError):
+            make()
 
 
 def test_evaluate_cnf():
