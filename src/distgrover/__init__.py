@@ -9,7 +9,7 @@ from .distributed import (CandidateSet, DistOutcome, build_candidate_set,
                           candidate_window, decompose, run_parallel,
                           run_serial, threshold_t_a, worst_case_query_bound)
 from .errors import (CapacityError, DistGroverError, InvariantError,
-                     NotCompilableError, ParseError, UsageError)
+                     ParseError, UsageError)
 from .estimation import (CountEstimate, QOperator, counting_grid_for,
                          est_amp_distribution, relaxed_error_bound, run_count)
 from .grover import (Evolution, GroverOutcome, apply_grover_iterate,

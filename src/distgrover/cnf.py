@@ -5,12 +5,15 @@ A literal is a signed 1-based variable index (positive = variable, negative
 significant bit of an assignment index. Constant formulas are plain CNF: no
 clauses is constant true (the empty conjunction), and a formula holding the
 empty clause `()` is constant false, since no assignment satisfies it.
-Parsing keeps an empty clause as `()`, so no case needs special handling.
-A formula is evaluated only as a whole, by `truth_values` over all 2^n
-assignments with one mask test per clause; the scalar per-literal
-evaluation it is checked against lives in `tests/reference.py`. A formula
-is not restricted: a CNF function's restriction filters its marked set,
-as every function's does (see `oracle.BooleanFunction.restrict`).
+Parsing keeps an empty clause as `()`, so no case needs special handling,
+here or in the compiler: an empty clause ANDs zero literals, so its mask
+test fails on every input. A formula is evaluated only as a whole, by
+`truth_values` over all 2^n assignments with one mask test per clause, in
+blocks of `BLOCK` inputs (see `index_blocks`), so the work arrays are sized
+to one block and only the 1-byte result is sized to 2^n; the scalar
+per-literal evaluation it is checked against lives in `tests/reference.py`.
+A formula is not restricted: a CNF function's restriction filters its
+marked set, as every function's does (see `oracle.BooleanFunction.restrict`).
 """
 
 from __future__ import annotations
@@ -21,6 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
+
+BLOCK = 1 << 16
+
+
+def index_blocks(n: int):
+    """The 2^n assignment indices in ascending blocks of at most BLOCK, as
+    (the block's slice of all 2^n, its indices). One index array is shifted
+    in place from block to block, so it is valid only for its own block."""
+    size = 1 << n
+    idx = np.arange(min(size, BLOCK), dtype=np.min_scalar_type(size - 1))
+    for start in range(0, size, idx.shape[0]):
+        if start:
+            idx += idx.shape[0]
+        yield slice(start, start + idx.shape[0]), idx
 
 
 @dataclass
@@ -38,27 +55,16 @@ class CnfFormula:
         """Source clauses, tautologies dropped while parsing included."""
         return len(self.clauses) + self.dropped_tautologies
 
-    @property
-    def constant_false(self) -> bool:
-        return () in self.clauses
-
-    @property
-    def is_constant_true(self) -> bool:
-        return not self.clauses
-
     def truth_values(self) -> np.ndarray:
         """Vector of f over all 2^n assignments, ascending index order: one
-        mask test per clause (see `_clause_masks`)."""
+        mask test per clause (see `_clause_masks`), block by block."""
         n = self.variable_count
-        idx = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-        masked = np.empty_like(idx)
-        satisfied = np.empty(idx.shape, dtype=bool)
-        values = np.ones(idx.shape, dtype=bool)
-        for clause in self.clauses:
-            variables, negated = _clause_masks(clause, n)
-            np.bitwise_and(idx, variables, out=masked)
-            np.not_equal(masked, negated, out=satisfied)
-            values &= satisfied
+        masks = [_clause_masks(clause, n) for clause in self.clauses]
+        values = np.ones(1 << n, dtype=bool)
+        for where, idx in index_blocks(n):
+            block = values[where]
+            for variables, negated in masks:
+                block &= (idx & variables) != negated
         return values.view(np.uint8)
 
 

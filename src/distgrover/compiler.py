@@ -1,31 +1,33 @@
 """CNF phase-oracle circuits.
 
 A formula with m clauses compiles to a palindromic gate list over n input
-qubits and a counter register of M = ceil(log2(m+1)) qubits appended after
-them: one clause-failure incrementer U_k per clause, a phase flip on the
-all-zero counter, then the mirrored decrementers. The counter tracks how
-many clauses are false, so the phase flip fires exactly when f(y) = 1, and
-the mirror restores the counter to |0..0>.
+qubits and a counter register of M = ceil(log2(m+1)) qubits (at least one)
+appended after them: one clause-failure incrementer U_k per clause, a phase
+flip on the all-zero counter, then the mirrored decrementers. The counter
+tracks how many clauses are false, so the phase flip fires exactly when
+f(y) = 1, and the mirror restores the counter to |0..0>.
 
 Each U_k block is X gates on the positively occurring variables (turning the
 clause-false pattern into all-ones), a multi-controlled increment with one
 positive control per literal, and the mirror X gates. CADD and CSUB step the
 M-qubit counter by +1 and -1 modulo 2^M. At most m < 2^M clauses fail, so
 the counter never wraps on a compiled circuit. The IR states M once, in its
-header.
+header. Constant formulas are plain CNF here too: no clauses compile to a
+lone Z0C on a 1-qubit counter, so every phase flips (f = 1), and the empty
+clause `()` to an increment with no controls, which fires on every input,
+so no phase flips (f = 0).
 
 Every gate maps basis states to basis states and the counter always comes
 back to |0..0>, so the whole circuit acts on the input register as one +-1
 diagonal. `circuit_diagonal` is the one gate stepper: it carries a counter
-and a phase bit for all 2^n inputs at once through the gates and returns
-the phase bits, 1 byte per input. `oracle_from_formula` runs it once, when
-the oracle is made: a compiled oracle is a BooleanFunction whose marked set
-is where the bits are set, and it restricts like any other function, by
-filtering that set. Tests check the phase bits against
-`CnfFormula.truth_values`, the one-input stepper in `tests/reference.py`
-and the live-counter execution `tests/conftest.py::live_counter_apply`.
-A constant formula (no clauses, or the empty clause) has no circuit and
-gets a constant oracle.
+and a phase bit for the 2^n inputs through the gates, one block of
+`cnf.BLOCK` inputs at a time, and returns the phase bits, 1 byte per input.
+`oracle_from_formula` runs it once, when the oracle is made: a compiled
+oracle is a BooleanFunction whose marked set is where the bits are set, and
+it restricts like any other function, by filtering that set. Tests check
+the phase bits against `CnfFormula.truth_values`, the one-input stepper in
+`tests/reference.py` and the live-counter execution
+`tests/conftest.py::live_counter_apply`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cnf as cnfmod
-from .errors import InvariantError, NotCompilableError, UsageError
+from .errors import InvariantError
 from .oracle import BooleanFunction
 from .statevector import check_capacity
 
@@ -96,9 +98,8 @@ def counter_width(clause_count: int) -> int:
 
 def build_uk(clause: tuple[int, ...], subtract: bool = False) -> list:
     """Gate block incrementing (or decrementing) the counter exactly when
-    the clause is false under the input assignment."""
-    if not clause:
-        raise UsageError("cannot build a block for an empty clause")
+    the clause is false under the input assignment (on every input for
+    the empty clause, whose increment has no controls)."""
     flips = [PauliX(abs(lit) - 1) for lit in clause if lit > 0]
     core = MultiControlledAdd(
         controls=tuple(sorted(abs(lit) - 1 for lit in clause)),
@@ -108,15 +109,7 @@ def build_uk(clause: tuple[int, ...], subtract: bool = False) -> list:
 
 def compile_phase_oracle(formula: cnfmod.CnfFormula) -> CircuitIR:
     """Palindromic oracle circuit U_1..U_m, Z0(counter), U_m'..U_1'."""
-    if formula.constant_false:
-        raise NotCompilableError(
-            "constant-false formula has no oracle circuit; use a constant "
-            "oracle instead")
     m = formula.clause_count
-    if m < 1:
-        raise NotCompilableError(
-            "constant-true formula (no clauses) is not compilable; use a "
-            "constant oracle instead")
     gates: list = []
     for clause in formula.clauses:
         gates.extend(build_uk(clause))
@@ -130,49 +123,48 @@ def compile_phase_oracle(formula: cnfmod.CnfFormula) -> CircuitIR:
 
 def circuit_diagonal(circuit: CircuitIR) -> np.ndarray:
     """The diagonal the circuit realizes on the input register as 2^n phase
-    bits, True where it is -1, from one run of all 2^n basis inputs
-    |y>|0>_C, each carried as a counter and a phase bit. Only X moves an
-    input bit, so the register reads y ^ flips, one integer for all inputs:
-    CADD/CSUB step the counter by +-1 where every control holds (one mask
-    test for all of them), Z0C toggles the phase where the counter is 0
-    modulo 2^M. Raises InvariantError unless flips ends at 0 and every
-    counter at 0, the condition under which the circuit acts on |y>|0>_C as
-    (+-1)|y>|0>_C.
+    bits, True where it is -1, from runs of the basis inputs |y>|0>_C, one
+    block of inputs at a time (see `cnf.index_blocks`), each input carried
+    as a counter and a phase bit. Only X moves an input bit, so the register
+    reads y ^ flips, one integer for all inputs: CADD/CSUB step the counter
+    by +-1 where every control holds (one mask test for all of them; with
+    no controls, everywhere), Z0C toggles the phase where the counter is 0
+    modulo 2^M. Raises InvariantError, naming the first such input, unless
+    flips ends at 0 and every counter at 0, the condition under which the
+    circuit acts on |y>|0>_C as (+-1)|y>|0>_C.
     """
     n = circuit.input_qubits
     check_capacity(n)
     mask = (1 << circuit.counter_qubits) - 1
-    inputs = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    # stepped modulo 2^bits of its dtype, read modulo 2^M through `mask`
-    counter = np.zeros(inputs.shape, dtype=np.min_scalar_type(mask))
-    flipped = np.zeros(inputs.shape, dtype=bool)
-    flips = 0
-    for gate in circuit.gates:
-        if isinstance(gate, PauliX):
-            flips ^= 1 << (n - 1 - gate.qubit)
-        elif isinstance(gate, MultiControlledAdd):
-            controls = sum(1 << (n - 1 - q) for q in gate.controls)
-            fires = (inputs & controls) == (controls & ~flips)
-            (np.subtract if gate.subtract else np.add)(counter, fires,
-                                                       out=counter)
-        else:
-            flipped ^= (counter & mask) == 0
-    broken = np.flatnonzero(counter & mask)
-    if flips or broken.size:
-        y = int(broken[0]) if broken.size else 0
-        raise InvariantError(
-            f"circuit does not restore input {y}: it ends at input "
-            f"{y ^ flips} with counter {int(counter[y]) & mask}")
+    flipped = np.zeros(1 << n, dtype=bool)
+    for where, inputs in cnfmod.index_blocks(n):
+        # stepped modulo 2^bits of its dtype, read modulo 2^M through `mask`
+        counter = np.zeros(inputs.shape, dtype=np.min_scalar_type(mask))
+        phase = flipped[where]
+        flips = 0
+        for gate in circuit.gates:
+            if isinstance(gate, PauliX):
+                flips ^= 1 << (n - 1 - gate.qubit)
+            elif isinstance(gate, MultiControlledAdd):
+                controls = sum(1 << (n - 1 - q) for q in gate.controls)
+                fires = (inputs & controls) == (controls & ~flips)
+                (np.subtract if gate.subtract else np.add)(counter, fires,
+                                                           out=counter)
+            else:
+                phase ^= (counter & mask) == 0
+        broken = np.flatnonzero(counter & mask)
+        if flips or broken.size:
+            i = int(broken[0]) if broken.size else 0
+            y = where.start + i
+            raise InvariantError(
+                f"circuit does not restore input {y}: it ends at input "
+                f"{y ^ flips} with counter {int(counter[i]) & mask}")
     return flipped
 
 
 def oracle_from_formula(formula: cnfmod.CnfFormula) -> BooleanFunction:
     """BooleanFunction whose marked set is where the formula's compiled
-    circuit flips the phase; a constant formula, which has no circuit,
-    gives the constant function."""
-    if formula.constant_false or formula.is_constant_true:
-        return BooleanFunction.constant(formula.variable_count,
-                                        formula.is_constant_true)
+    circuit flips the phase."""
     return BooleanFunction(formula.variable_count, np.flatnonzero(
         circuit_diagonal(compile_phase_oracle(formula))))
 

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Each error carries the process exit code the CLI maps it to:
-1 usage, 2 parse, 3 capacity, 4 internal invariant.
+1 usage, 2 parse, 3 capacity, 4 internal invariant. Every parsed CNF
+formula compiles, constant ones included, so compiling has no error of its
+own: only capacity, or an invariant if the compiler is wrong.
 """
 
 
@@ -37,7 +39,3 @@ class InvariantError(DistGroverError):
     """An internal consistency check failed (simulator bug)."""
 
     exit_code = 4
-
-
-class NotCompilableError(UsageError):
-    """Formula has no compilable clause structure (constant true/false)."""

@@ -2,9 +2,10 @@
 
 A BooleanFunction is its arity and its marked set, the ascending indices x
 with f(x) = 1, built when the function is made and never changed. The set
-comes from an explicit table, a constant, a CNF formula's truth table, or
-the phase bits of the formula's compiled oracle circuit (see the `compiler`
-module); a constructor that sizes an array by 2^n checks capacity before it
+comes from an explicit table, a CNF formula's truth table, or the phase
+bits of the formula's compiled oracle circuit (see the `compiler` module);
+a constant function is the table or the CNF formula that says so. A
+constructor that sizes an array by 2^n checks capacity before it
 allocates. Every other view of f derives from the set: `evaluate` is a
 binary search, `solution_count` its length, `truth_values` a fresh table
 built from it, and `restrict` one filter of it, whatever f came from. The
@@ -115,11 +116,6 @@ class BooleanFunction:
         check_capacity(formula.variable_count)
         return cls(formula.variable_count,
                    np.flatnonzero(formula.truth_values()))
-
-    @classmethod
-    def constant(cls, arity: int, value: int) -> "BooleanFunction":
-        check_capacity(arity)
-        return cls(arity, np.arange(1 << arity if value else 0))
 
     @classmethod
     def from_table_text(cls, text: str) -> "BooleanFunction":

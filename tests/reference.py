@@ -142,14 +142,21 @@ def est_amp_distribution(f: BooleanFunction,
     return measurement_distribution(state, control)
 
 
-def reference_truth_values(formula: CnfFormula) -> np.ndarray:
-    """f over all 2^n assignments in ascending index order, each clause
-    tested one literal at a time (variable 1 is the most significant bit)."""
+def reference_truth_value(formula: CnfFormula, y: int) -> int:
+    """f(y), each clause tested one literal at a time (variable 1 is the
+    most significant bit of y)."""
     n = formula.variable_count
-    return np.array([int(all(any(((y >> (n - abs(lit))) & 1) == (lit > 0)
-                                 for lit in clause)
-                             for clause in formula.clauses))
-                     for y in range(1 << n)], dtype=np.uint8)
+    return int(all(any(((y >> (n - abs(lit))) & 1) == (lit > 0)
+                       for lit in clause)
+                   for clause in formula.clauses))
+
+
+def reference_truth_values(formula: CnfFormula) -> np.ndarray:
+    """f over all 2^n assignments in ascending index order, by
+    `reference_truth_value`."""
+    return np.array([reference_truth_value(formula, y)
+                     for y in range(1 << formula.variable_count)],
+                    dtype=np.uint8)
 
 
 def step_oracle_circuit(circuit: CircuitIR,

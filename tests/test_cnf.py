@@ -16,6 +16,7 @@ from distgrover import (
     parse_dimacs,
     run_grover,
 )
+from distgrover.cnf import BLOCK
 from distgrover.compiler import (
     ELEMENTARY_SCALING_CONSTANT,
     CircuitIR,
@@ -26,12 +27,11 @@ from distgrover.compiler import (
     circuit_diagonal,
     counter_width,
 )
-from distgrover.errors import (InvariantError, NotCompilableError,
-                               ParseError, UsageError)
+from distgrover.errors import InvariantError, ParseError, UsageError
 
 from conftest import live_counter_apply, random_3cnf
-from reference import (reference_truth_values, simulate_oracle_circuit,
-                       step_oracle_circuit)
+from reference import (reference_truth_value, reference_truth_values,
+                       simulate_oracle_circuit, step_oracle_circuit)
 
 EXAMPLE = """\
 c a small instance
@@ -46,7 +46,6 @@ def test_parse_example_semantics():
     f = parse_dimacs(EXAMPLE)
     assert f.variable_count == 3
     assert f.clauses == [(1, -2), (2, 3), (-1,)]
-    assert not f.constant_false
     # x1=0 forced, then (x1 or not x2) forces x2=0, then x3=1: index 001
     assert np.array_equal(f.truth_values(),
                           np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8))
@@ -91,7 +90,7 @@ def test_duplicate_literals_deduplicated():
 
 def test_empty_clause_is_constant_false():
     f = parse_dimacs("p cnf 2 2\n0\n1 0\n")
-    assert f.constant_false
+    assert f.clauses == [(), (1,)]
     assert reference_truth_values(f)[0b10] == 0
     assert not f.truth_values().any()
 
@@ -102,7 +101,7 @@ def test_empty_clause_and_tautology_count_toward_header():
     assert f.clauses == [(), (2,)]
     assert f.original_clause_count == 3
     assert f.dropped_tautologies == 1
-    assert f.constant_false and not f.is_constant_true
+    assert f.truth_values().tolist() == [0] * 4
     with pytest.warns(UserWarning), \
             pytest.raises(ParseError, match="declares 2 clauses, found 3"):
         parse_dimacs("p cnf 2 2\n0\n1 -1 0\n2 0\n")
@@ -188,11 +187,30 @@ def test_counter_width_values():
         assert counter_width(m) <= m
 
 
-def test_constant_formulas_not_compilable():
-    with pytest.raises(NotCompilableError):
-        compile_phase_oracle(CnfFormula(variable_count=2, clauses=[]))
-    with pytest.raises(NotCompilableError):
-        compile_phase_oracle(CnfFormula(variable_count=2, clauses=[()]))
+def test_constant_formulas_compile():
+    # no clauses is a lone Z0C on a 1-qubit counter; an empty clause is an
+    # increment with no controls, which fires on every input
+    cases = [(parse_dimacs("p cnf 3 0\n"), 1,
+              "oracle n=3 m=0 counter=1\n"
+              "Z0C\n"),
+             (CnfFormula(3, [(), (1,)]), 0,
+              "oracle n=3 m=2 counter=2\n"
+              "CADD ctrls=[]\n"
+              "X q0\n"
+              "CADD ctrls=[+q0]\n"
+              "X q0\n"
+              "Z0C\n"
+              "X q0\n"
+              "CSUB ctrls=[+q0]\n"
+              "X q0\n"
+              "CSUB ctrls=[]\n")]
+    for formula, value, text in cases:
+        circuit = compile_phase_oracle(formula)
+        assert circuit.to_text() == text
+        bits = circuit_diagonal(circuit)
+        assert bits.tolist() == [bool(value)] * 8
+        for y in range(8):
+            assert simulate_oracle_circuit(circuit, y) == (1 - 2 * value, 1)
 
 
 def test_constant_formulas_give_constant_oracles():
@@ -427,3 +445,49 @@ def test_compiled_oracle_compiles_once_and_restricts_by_filtering(
     for _ in range(2):
         run_grover(sub, 1, 5, QueryLedger())
     assert calls == [6]
+
+
+def test_blocks_agree_across_the_block_boundary(rng):
+    # n = 17 is two blocks: both steppers match the per-literal and per-gate
+    # references on each side of the boundary, and each other everywhere
+    n = 17
+    assert 1 << n == 2 * BLOCK == 2 * 65536
+    edges = (0, 65535, 65536, (1 << n) - 1)
+    xor = CnfFormula(n, [(1, 17), (-1, -17)])      # x1 != x17
+    assert xor.truth_values()[list(edges)].tolist() == [0, 1, 1, 0]
+    for formula in (xor, _planted_3cnf(n, 4 * n, rng)[0]):
+        circuit = compile_phase_oracle(formula)
+        truth = formula.truth_values()
+        assert np.array_equal(circuit_diagonal(circuit), truth == 1)
+        for y in edges:
+            want = reference_truth_value(formula, y)
+            assert truth[y] == want
+            assert simulate_oracle_circuit(circuit, y) == (1 - 2 * want, 1)
+
+
+def test_diagonal_names_a_broken_input_of_a_later_block():
+    # (-1,) without its CSUB leaves the counter at 1 exactly where x1 = 1:
+    # on every input of the second block and on none of the first
+    circuit = compile_phase_oracle(CnfFormula(17, [(-1,)]))
+    gates = tuple(g for g in circuit.gates
+                  if not (isinstance(g, MultiControlledAdd) and g.subtract))
+    assert len(gates) == len(circuit.gates) - 1
+    with pytest.raises(InvariantError, match="does not restore input 65536: "
+                       "it ends at input 65536 with counter 1"):
+        circuit_diagonal(dataclasses.replace(circuit, gates=gates))
+
+
+def test_cnf_functions_peak_within_their_table_plus_two_mib(rng):
+    # evaluating in blocks holds one 2^n-byte result and block-sized work
+    # arrays, so neither builder peaks above 2^n bytes + 2 MiB
+    n = 20
+    formula, hidden = _planted_3cnf(n, 4 * n, rng)
+    for build in (BooleanFunction.from_cnf, oracle_from_formula):
+        tracemalloc.start()
+        try:
+            f = build(formula)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.evaluate(hidden) == 1
+        assert peak <= (1 << n) + (2 << 20), (build.__name__, peak)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from distgrover import (BooleanFunction, QOperator, QueryLedger, UsageError,
+from distgrover import (QOperator, QueryLedger, UsageError,
                         apply_grover_iterate, apply_hadamard_all,
                         counting_grid_for, est_amp_distribution, estimation,
                         init_basis, relaxed_error_bound, run_count)
@@ -67,7 +67,7 @@ def test_q_squared_rotates_by_four_theta():
 
 
 def test_q_on_constant_zero_is_identity_up_to_sign():
-    f = BooleanFunction.constant(3, 0)
+    f = marked_function(3, [])
     state = apply_hadamard_all(init_basis(3, 0), range(0, 3))
     before = state.amps.copy()
     _apply_q(f, state)
@@ -126,12 +126,12 @@ def test_plane_distribution_matches_dense_reference():
 def test_certainty_edges():
     for n in (2, 4):
         for m in (1, 3, 5):
-            dist = est_amp_distribution(BooleanFunction.constant(n, 0), m)
+            dist = est_amp_distribution(marked_function(n, []), m)
             expected = np.zeros(1 << m)
             expected[0] = 1.0
             assert np.abs(dist.probabilities - expected).max() < 1e-9
 
-            dist = est_amp_distribution(BooleanFunction.constant(n, 1), m)
+            dist = est_amp_distribution(marked_function(n, range(2**n)), m)
             expected = np.zeros(1 << m)
             expected[(1 << m) // 2] = 1.0
             assert np.abs(dist.probabilities - expected).max() < 1e-9
@@ -198,23 +198,23 @@ def test_n4_t4_m3_concentrates_on_exact_outcomes():
 
 
 def test_run_est_amp_endpoints_and_queries():
-    f = BooleanFunction.constant(4, 0)
+    f = marked_function(4, [])
     ledger = QueryLedger()
     est = run_count(f, 16, 0, ledger)
     assert est.a_tilde == 0.0 and est.y == 0
     assert ledger.quantum_queries == 15
 
-    f = BooleanFunction.constant(4, 1)
+    f = marked_function(4, range(2**4))
     est = run_count(f, 8, 0, QueryLedger())
     assert est.y == 4 and est.a_tilde == pytest.approx(1.0)
 
 
 def test_run_count_certainty_and_rounding():
-    f = BooleanFunction.constant(4, 0)
+    f = marked_function(4, [])
     est = run_count(f, 8, 123, QueryLedger())
     assert est.t_prime == 0.0 and est.t_prime_rounded == 0
 
-    f = BooleanFunction.constant(4, 1)
+    f = marked_function(4, range(2**4))
     est = run_count(f, 8, 123, QueryLedger())
     assert est.t_prime == pytest.approx(16.0) and est.t_prime_rounded == 16
 

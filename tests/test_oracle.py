@@ -81,10 +81,11 @@ def test_truth_table_must_be_one_dimensional():
 
 
 def test_constructors_check_capacity_before_allocating(monkeypatch):
-    # each would size an array by 2^40 if it did not check first
+    # each would size an array by 2^40 if it did not check first; the
+    # formula with no clauses compiles like any other, so `circuit_diagonal`
+    # checks it
     monkeypatch.delenv("DISTGROVER_MAX_QUBITS", raising=False)
-    for make in (lambda: BooleanFunction.constant(40, 1),
-                 lambda: BooleanFunction.from_cnf(CnfFormula(40, [(1,)])),
+    for make in (lambda: BooleanFunction.from_cnf(CnfFormula(40, [(1,)])),
                  lambda: oracle_from_formula(CnfFormula(40, [(1,)])),
                  lambda: oracle_from_formula(CnfFormula(40, []))):
         with pytest.raises(CapacityError):
@@ -113,7 +114,7 @@ def test_cnf_matches_truth_table_semantics():
 
 
 def test_solution_count():
-    assert BooleanFunction.constant(3, 0).solution_count() == 0
+    assert marked_function(3, []).solution_count() == 0
     assert marked_function(4, [7]).solution_count() == 1
     f = BooleanFunction.from_cnf(CnfFormula(2, [(1,), (2,)]))
     assert f.solution_count() == 1
@@ -122,11 +123,11 @@ def test_solution_count():
 def test_phase_oracle_examples():
     n = 2
     s = uniform(n)
-    BooleanFunction.constant(n, 0).apply_phase_oracle(s, range(0, n))
+    marked_function(n, []).apply_phase_oracle(s, range(0, n))
     assert np.allclose(s.amps, [0.5] * 4)
 
     s = uniform(n)
-    BooleanFunction.constant(n, 1).apply_phase_oracle(s, range(0, n))
+    marked_function(n, range(2**n)).apply_phase_oracle(s, range(0, n))
     assert np.allclose(s.amps, [-0.5] * 4)
 
     s = uniform(n)
@@ -219,7 +220,7 @@ def test_restrict_examples():
     for x in range(4):
         assert f0.evaluate(x) == f.evaluate(x << 1)
 
-    assert (BooleanFunction.constant(3, 1).restrict("1")
+    assert (marked_function(3, range(2**3)).restrict("1")
             .truth_values() == 1).all()
 
     f = marked_function(3, [0b101])
@@ -243,7 +244,7 @@ def test_every_view_matches_the_source_table(rng):
         formula = random_3cnf(n, n + 1, rng)
         table = gen.integers(0, 2, size=1 << n).astype(np.uint8)
         cases = [(BooleanFunction.from_truth_table(table), table)]
-        cases += [(BooleanFunction.constant(n, value),
+        cases += [(marked_function(n, range(2**n) if value else []),
                    np.full(1 << n, value, np.uint8)) for value in (0, 1)]
         cases += [(build(formula), reference_truth_values(formula))
                   for build in (BooleanFunction.from_cnf,
