@@ -58,15 +58,13 @@ def success_probability(n: int, a: int) -> float:
 def apply_grover_iterate(f: BooleanFunction,
                          state: StateVector) -> StateVector:
     """One application of G. Charges nothing: the caller's ledger counts
-    the shot's queries (see `run_grover`)."""
-    n = f.arity
-    if state.qubit_count != n:
-        raise UsageError(f"state width {state.qubit_count} does not match "
-                         f"arity {n}")
-    register = range(0, n)
+    the shot's queries (see `run_grover`). A state that is not f's n
+    qubits raises UsageError in the phase oracle, before any amplitude
+    changes."""
+    register = range(0, f.arity)
     f.apply_phase_oracle(state, register)
     apply_hadamard_all(state, register)
-    apply_zero_reflection(state, register)
+    apply_zero_reflection(state)
     apply_hadamard_all(state, register)
     state.amps *= -1.0
     return state

@@ -14,11 +14,6 @@ nothing itself: `grover.run_grover` charges a shot's k oracle queries,
 `estimation.run_count` a counting run's grid - 1, and `evaluate` one
 classical query per call given a ledger. A function holds 8 bytes per
 marked input and nothing of the state's size.
-
-An input x is a basis index of any integer type (Python or NumPy; variable
-1 / qubit 0 is the most significant bit) or its bits: a string of "0"/"1"
-characters or a sequence of integers 0 and 1. A restriction suffix is bits
-in the same forms. Anything else raises UsageError.
 """
 
 from __future__ import annotations
@@ -32,34 +27,6 @@ from . import cnf as cnfmod
 from .errors import ParseError, UsageError
 from .ledger import QueryLedger
 from .statevector import StateVector, apply_diagonal_phase, check_capacity
-
-_BITS = {0: "0", 1: "1", "0": "0", "1": "1"}
-
-
-def _as_bits(x) -> str:
-    """x as a string of "0"/"1" characters. Each element of x must be the
-    character "0" or "1" or an integer (Python or NumPy) 0 or 1; anything
-    else raises UsageError."""
-    try:
-        return "".join(_BITS[b if isinstance(b, str) else operator.index(b)]
-                       for b in x)
-    except (KeyError, TypeError):
-        raise UsageError(f"{x!r} is not an index or bits 0 and 1") from None
-
-
-def _as_index(x, arity: int) -> int:
-    try:
-        index = operator.index(x)
-    except TypeError:
-        bits = _as_bits(x)
-        if len(bits) != arity:
-            raise UsageError(f"input of length {len(bits)} does not match "
-                             f"arity {arity}") from None
-        return int(bits, 2)
-    if not 0 <= index < (1 << arity):
-        raise UsageError(f"input {index} out of range for arity {arity}")
-    return index
-
 
 def read_text(path) -> str:
     """A file's text, decoded from its bytes as strict UTF-8 (so the text
@@ -96,7 +63,7 @@ class BooleanFunction:
 
     @classmethod
     def from_truth_table(cls, bits) -> "BooleanFunction":
-        raw = _digits(bits) if isinstance(bits, str) else np.asarray(bits)
+        raw = np.asarray(bits)
         if raw.ndim != 1:
             raise UsageError(f"truth table must be a flat sequence of bits, "
                              f"not a {raw.ndim}-D array")
@@ -143,7 +110,7 @@ class BooleanFunction:
         if len(lines) > 2:
             raise ParseError("unexpected text after the table line",
                              lines[2][0])
-        return cls.from_truth_table(bits)
+        return cls(n, np.flatnonzero(bits))
 
     @classmethod
     def from_file(cls, path) -> "BooleanFunction":
@@ -153,8 +120,16 @@ class BooleanFunction:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, x, ledger: QueryLedger | None = None) -> int:
-        """Classical f(x); charges one classical query when a ledger is given."""
-        index = _as_index(x, self.arity)
+        """Classical f(x) at the basis index x, an integer of any type
+        (Python or NumPy; variable 1 is its most significant bit); charges
+        one classical query when a ledger is given."""
+        try:
+            index = operator.index(x)
+        except TypeError:
+            raise UsageError(f"input {x!r} is not an integer index") from None
+        if not 0 <= index < (1 << self.arity):
+            raise UsageError(f"input {index} out of range for arity "
+                             f"{self.arity}")
         if ledger is not None:
             ledger.add_classical(1)
         i = int(self._marked.searchsorted(index))
@@ -190,13 +165,16 @@ class BooleanFunction:
 
     # -- decomposition ------------------------------------------------------
 
-    def restrict(self, suffix) -> "BooleanFunction":
-        """Subfunction f_i(x) = f(x || suffix) on the first n-k variables."""
-        bits = _as_bits(suffix)
-        k = len(bits)
+    def restrict(self, suffix: str) -> "BooleanFunction":
+        """Subfunction f_i(x) = f(x || suffix) on the first n-k variables,
+        for a suffix string of k characters "0"/"1"."""
+        if not isinstance(suffix, str) or not set(suffix) <= {"0", "1"}:
+            raise UsageError(f"suffix {suffix!r} is not a string of bits 0 "
+                             "and 1")
+        k = len(suffix)
         n = self.arity
         if not 1 <= k < n:
             raise UsageError(f"suffix length {k} must be in [1, {n - 1}]")
         marked = self._marked
         return BooleanFunction(
-            n - k, marked[(marked & ((1 << k) - 1)) == int(bits, 2)] >> k)
+            n - k, marked[(marked & ((1 << k) - 1)) == int(suffix, 2)] >> k)

@@ -9,8 +9,7 @@ Amplitudes are float64 for as long as every operation applied to them is
 real: the basis start, Hadamard layers, ±1 phases, Z_0 and real rotations
 all are, so a Grover state takes 8 bytes per amplitude. Complex amplitudes
 appear only where an operation returns them (the inverse QFT's FFT in
-`estimation.apply_qft`); every kernel here works in place in the dtype it is
-given.
+`estimation.apply_qft`), and that state is measured directly.
 
 A Hadamard layer is a ±1 Sylvester block product per group of up to five
 qubits, each one BLAS matrix product on unnormalised sums, and a single
@@ -137,7 +136,7 @@ def init_basis(qubit_count: int, basis_index: int) -> StateVector:
 def _sylvester_products(amps: np.ndarray, scratch: np.ndarray,
                         qubit_count: int, register: range) -> None:
     """The unnormalised Walsh-Hadamard transform of `register`, in place on
-    a contiguous float64 array; `scratch` is another of its size. Each group
+    a contiguous array; `scratch` is another of its size and dtype. Each group
     of qubits is one product with its ±1 block into the other array, and
     the result is copied back when the group count is odd."""
     count = -(-len(register) // _GROUP_QUBITS)
@@ -168,22 +167,13 @@ def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
     b qubits, the top-left 2^b corner of the 32 x 32 block H_5: a left
     product batched over the qubits before the group, or, for a group that
     ends the state, one right product. The products run on unnormalised
-    sums, through one scratch array of the state's size, and one scale at
-    the end, 2^(-w/2) for a w-qubit register, normalises the result. A
-    complex state's real and imaginary parts go through the same real
-    products, so its real part matches a real state's to the bit.
+    sums, through one scratch array of the state's size and dtype, and one
+    scale at the end, 2^(-w/2) for a w-qubit register, normalises the
+    result.
     """
     _check_register(state.qubit_count, register)
-    amps = state.amps
-    if np.isrealobj(amps):
-        _sylvester_products(amps, np.empty_like(amps), state.qubit_count,
-                            register)
-    else:
-        part, scratch = np.empty((2, amps.shape[0]))
-        for view in (amps.real, amps.imag):
-            np.copyto(part, view)
-            _sylvester_products(part, scratch, state.qubit_count, register)
-            np.copyto(view, part)
+    _sylvester_products(state.amps, np.empty_like(state.amps),
+                        state.qubit_count, register)
     width = len(register)
     state.amps *= 0.5 ** (width // 2) * (_SQRT_HALF if width % 2 else 1.0)
     assert state.amps.shape == (1 << state.qubit_count,)
@@ -201,12 +191,10 @@ def apply_diagonal_phase(state: StateVector, marked) -> StateVector:
     return _check_norm(state)
 
 
-def apply_zero_reflection(state: StateVector, register: range) -> StateVector:
-    """Z_0 = I - 2|0><0| on `register`: sign flip only at the all-zero value,
-    negating just the amplitudes whose register bits are all zero."""
-    _check_register(state.qubit_count, register)
-    before, mid, after = _split_shape(state.qubit_count, register)
-    state.amps.reshape(before, mid, after)[:, 0, :] *= -1.0
+def apply_zero_reflection(state: StateVector) -> StateVector:
+    """Z_0 = I - 2|0><0| on the whole state: negate the amplitude of basis
+    index 0."""
+    state.amps[0] *= -1.0
     return _check_norm(state)
 
 

@@ -75,7 +75,7 @@ def reference_run_grover(f: BooleanFunction, assumed_a: int, seed: int,
         f.apply_phase_oracle(state, register)
         ledger.add_quantum(1, "oracle")
         apply_hadamard_all(state, register)
-        apply_zero_reflection(state, register)
+        apply_zero_reflection(state)
         apply_hadamard_all(state, register)
         state.amps *= -1.0
     measured = sample(measurement_distribution(state, register), seed)

@@ -32,9 +32,11 @@ reads the environment (`os.environ` or `os.getenv`) and constructs
 `estimation.py` call `.add_quantum`, so each quantum query is charged once,
 by the run that spends it. Real amplitudes: no module in src/distgrover/
 names a complex dtype (`complex`, `np.complex128`, `np.cdouble`, a dtype
-string such as "c16") or writes an imaginary literal, so states stay float64
-and complex amplitudes come only from an operation that returns them, the
-inverse QFT's FFT.
+string such as "c16"), writes an imaginary literal, tests for one
+(`isrealobj`, `iscomplexobj`) or reads an imaginary part (`.imag`), so
+states stay float64, complex amplitudes come only from an operation that
+returns them, the inverse QFT's FFT, and no kernel keeps a second path for
+them. `.real` stays allowed: a norm is the real part of a dot product.
 """
 
 from __future__ import annotations
@@ -392,6 +394,7 @@ def test_scan_flags_a_concern_outside_its_owner():
 
 
 COMPLEX_NAMES = re.compile(r"complex\w*|cdouble|csingle|clongdouble|cfloat")
+COMPLEX_TESTS = {"isrealobj", "iscomplexobj", "imag"}
 COMPLEX_STRINGS = re.compile(r"[<>=|]?(c8|c16|c32|[FDG]|" +
                              COMPLEX_NAMES.pattern + ")")
 
@@ -410,7 +413,8 @@ def _complex_uses(tree: ast.Module) -> list[tuple[int, str]]:
     for node in ast.walk(tree):
         name = node.id if isinstance(node, ast.Name) else \
             node.attr if isinstance(node, ast.Attribute) else None
-        if name is not None and COMPLEX_NAMES.fullmatch(name):
+        if name is not None and (COMPLEX_NAMES.fullmatch(name)
+                                 or name in COMPLEX_TESTS):
             problems.append((node.lineno, name))
         elif isinstance(node, ast.Constant) and id(node) not in docstrings \
                 and (isinstance(node.value, complex) or (
@@ -426,7 +430,7 @@ def test_no_complex_dtype_in_src():
     problems = [f"{path.relative_to(ROOT)}:{line}: {what}"
                 for path in files
                 for line, what in _complex_uses(ast.parse(path.read_text()))]
-    assert not problems, "complex dtypes named in src:\n" + \
+    assert not problems, "complex dtypes, tests or parts named in src:\n" + \
         "\n".join(problems)
 
 
@@ -438,9 +442,11 @@ def test_scan_flags_a_complex_dtype():
                      "c = np.exp(2j * np.pi)\n"
                      "d = np.zeros(2, 'c16') + np.cdouble(0)\n"
                      "e = np.zeros(2, dtype='float64').real\n"
+                     "g = np.isrealobj(a) or np.iscomplexobj(a.imag)\n"
                      "def f():\n"
                      "    'complex64 here is a docstring'\n"
                      "    return np.complex64\n")
     assert _complex_uses(tree) == [(3, "complex128"), (4, "complex"),
                                    (5, "2j"), (6, "'c16'"), (6, "cdouble"),
-                                   (10, "complex64")]
+                                   (8, "imag"), (8, "iscomplexobj"),
+                                   (8, "isrealobj"), (11, "complex64")]

@@ -115,10 +115,10 @@ def test_hadamard_matches_butterfly_reference_on_wide_registers():
                                   range(0, m))
 
 
-def test_hadamard_real_state_matches_a_complex_copy_bit_for_bit():
-    # a complex state's real and imaginary parts go through the real
-    # products, so a complex copy of a real state keeps the real result to
-    # the bit, with a zero imaginary part, on every register
+def test_hadamard_real_state_matches_a_complex_copy_to_rounding():
+    # a complex copy of a real state runs the same block products in complex
+    # arithmetic: its real part matches the real result to rounding and its
+    # imaginary part stays exactly zero, on every register
     rng = np.random.default_rng(37)
     for q in range(1, 10):
         for start in range(q):
@@ -127,7 +127,7 @@ def test_hadamard_real_state_matches_a_complex_copy_bit_for_bit():
                 twin = StateVector(q, real.amps.astype(np.complex128))
                 apply_hadamard_all(real, range(start, stop))
                 apply_hadamard_all(twin, range(start, stop))
-                assert np.array_equal(twin.amps.real, real.amps)
+                assert np.abs(twin.amps.real - real.amps).max() <= 1e-15
                 assert not twin.amps.imag.any()
 
 
@@ -362,7 +362,7 @@ def test_real_kernels_keep_dtype_in_place(dtype):
     kernels = [
         lambda s: apply_hadamard_all(s, range(1, 4)),
         lambda s: apply_diagonal_phase(s, np.flatnonzero(f.truth_values())),
-        lambda s: apply_zero_reflection(s, range(0, 3)),
+        apply_zero_reflection,
         lambda s: apply_grover_iterate(f, s),
         lambda s: apply_controlled_powers(s, 3, QOperator(f).apply_batch),
     ]
