@@ -1,9 +1,9 @@
 """Grover search: the iterate G, iteration count, closed-form success
 probability, and a full seeded run with query accounting.
 
-G = -H Z_0 H Z_f. The leading global phase is applied literally so that the
-simulated operator matches the textbook identity; it is observationally
-irrelevant and no test may depend on it.
+G = -H Z_0 H Z_f. The leading global phase changes no probability, but it
+is applied literally so that G equals estimation's Q = A U0_perp A^{-1} U_f
+amplitude for amplitude, as tests/test_estimation.py checks.
 
 An `Evolution` holds one function's register from the uniform start and
 advances it to the iterate count a shot asks for. Shots that ask for

@@ -11,11 +11,18 @@ all are, so a Grover state takes 8 bytes per amplitude. Complex amplitudes
 appear only where an operation returns them (the inverse QFT's FFT in
 `estimation.apply_qft`), and that state is measured directly.
 
-A Hadamard layer is a ±1 Sylvester block product per group of up to five
+A Hadamard layer is a ±1 Sylvester block product per group of one to five
 qubits, each one BLAS matrix product on unnormalised sums, and a single
-2^(-w/2) scale follows. A layer's scratch is one float64 array of the
-state's size (8 bytes per amplitude), allocated once per call and swapped
-with the state between products.
+2^(-w/2) scale follows. The groups are fixed by the register's width w.
+13 to 16 qubits take the splits into groups of three and four qubits that
+ran fastest inside the Grover iterate, timed interleaved against every
+split into groups of three to five qubits with one BLAS thread
+(BENCH_25.json): 14, 15 and 16 qubits ran 12-14%, 34% and 5-10% faster
+than with ceil(w/5) groups, and at 13 qubits the two were within 2%. Every
+other width takes ceil(w/5) near-equal groups, widest last, which no other
+split clearly beat. A layer's scratch is one float64 array of the state's
+size (8 bytes per amplitude), allocated once per call and swapped with the
+state between products.
 
 A measurement allocates one float64 array, its distribution (8 bytes per
 amplitude), and sampling from it allocates nothing of its size: measuring a
@@ -42,10 +49,15 @@ DEFAULT_MAX_QUBITS = 26
 NORM_TOL = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
 _SAMPLE_CHUNK = 1 << 14     # probabilities per step of `sample`'s running sum
-_GROUP_QUBITS = 5           # qubits per block product of a Hadamard layer
+_GROUP_QUBITS = 5           # most qubits per block product of a Hadamard layer
 # H_5 = H x H x H x H x H with H = [[1, 1], [1, -1]]; its top-left 2^b corner
 # is H_b
 _H5 = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * _GROUP_QUBITS)
+# qubits per block product, in register order, for the register widths where
+# a split other than ceil(w/5) near-equal groups ran faster in the Grover
+# iterate (one BLAS thread; BENCH_25.json)
+_SPLITS = {13: (3, 3, 3, 4), 14: (3, 3, 4, 4), 15: (3, 4, 4, 4),
+           16: (3, 3, 3, 4, 3)}
 
 
 def check_capacity(qubit_count: int) -> None:
@@ -133,17 +145,26 @@ def init_basis(qubit_count: int, basis_index: int) -> StateVector:
     return StateVector(qubit_count, amps)
 
 
+def _group_widths(width: int) -> tuple[int, ...]:
+    """Qubits per block product of a `width`-qubit Hadamard layer, in
+    register order: `_SPLITS[width]` where there is one, else ceil(width/5)
+    near-equal groups, widest last."""
+    split = _SPLITS.get(width)
+    if split is None:
+        count = -(-width // _GROUP_QUBITS)
+        split = tuple((width + j) // count for j in range(count))
+    return split
+
+
 def _sylvester_products(amps: np.ndarray, scratch: np.ndarray,
                         qubit_count: int, register: range) -> None:
     """The unnormalised Walsh-Hadamard transform of `register`, in place on
     a contiguous array; `scratch` is another of its size and dtype. Each group
     of qubits is one product with its ±1 block into the other array, and
     the result is copied back when the group count is odd."""
-    count = -(-len(register) // _GROUP_QUBITS)
     start = register.start
     src, dst = amps, scratch
-    for j in range(count):
-        width = (len(register) + j) // count    # near-equal, widest last
+    for width in _group_widths(len(register)):
         before, mid, after = _split_shape(qubit_count,
                                           range(start, start + width))
         block = _H5[:mid, :mid]
@@ -162,11 +183,14 @@ def _sylvester_products(amps: np.ndarray, scratch: np.ndarray,
 def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
     """Walsh-Hadamard transform on every qubit of `register` (in place).
 
-    The register is split into ceil(w/5) near-equal groups of qubits, and
-    each group is one matrix product with the ±1 Sylvester block H_b of its
-    b qubits, the top-left 2^b corner of the 32 x 32 block H_5: a left
-    product batched over the qubits before the group, or, for a group that
-    ends the state, one right product. The products run on unnormalised
+    The register is split into groups of one to five qubits by its width
+    w (`_group_widths`): a 13- to 16-qubit register takes its fixed split
+    from `_SPLITS`, the one that ran fastest inside the Grover iterate, and
+    every other width ceil(w/5) near-equal groups, widest last. Each group
+    is one matrix product with the ±1 Sylvester block H_b of its b qubits,
+    the top-left 2^b corner of the 32 x 32 block H_5: a left product
+    batched over the qubits before the group, or, for a group that ends
+    the state, one right product. The products run on unnormalised
     sums, through one scratch array of the state's size and dtype, and one
     scale at the end, 2^(-w/2) for a w-qubit register, normalises the
     result.
@@ -245,7 +269,7 @@ def sample(distribution: MeasurementDistribution, seed: int) -> int:
     """
     u = unit_double(seed)
     p = distribution.probabilities
-    partial = np.empty(_SAMPLE_CHUNK + 1)
+    partial = np.empty(min(p.shape[0], _SAMPLE_CHUNK) + 1)
     total = 0.0
     for start in range(0, p.shape[0], _SAMPLE_CHUNK):
         chunk = p[start:start + _SAMPLE_CHUNK]

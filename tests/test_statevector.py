@@ -99,20 +99,30 @@ def _assert_matches_reference(state, register):
 
 def test_hadamard_matches_butterfly_reference_on_wide_registers():
     # registers of 10-13 qubits anywhere in a 13-qubit state (two groups,
-    # or three, whose odd count copies the result back), four groups at 16
-    # and 17 qubits, and estimation's shape: range(0, m) of m + 1 qubits,
-    # with one qubit after the register
+    # or three, whose odd count copies the result back), whole states of
+    # 13-16 qubits (the fixed splits, four groups or five), four groups at
+    # 17 qubits, and estimation's shape: range(0, m) of m + 1 qubits, with
+    # one qubit after the register
     rng = np.random.default_rng(29)
     q = 13
     for start in range(q - 9):
         for stop in range(start + 10, q + 1):
             _assert_matches_reference(_random_real_state(rng, q),
                                       range(start, stop))
-    _assert_matches_reference(_random_real_state(rng, 16), range(0, 16))
+    for q in range(13, 17):
+        _assert_matches_reference(_random_real_state(rng, q), range(0, q))
     _assert_matches_reference(_random_real_state(rng, 17), range(1, 17))
     for m in range(1, 17):
         _assert_matches_reference(_random_real_state(rng, m + 1),
                                   range(0, m))
+
+
+def test_hadamard_groups_partition_every_register_width():
+    # every width up to the default cap splits into groups that H_5 covers
+    for width in range(1, 27):
+        groups = statevector._group_widths(width)
+        assert sum(groups) == width, width
+        assert all(1 <= b <= 5 for b in groups), (width, groups)
 
 
 def test_hadamard_real_state_matches_a_complex_copy_to_rounding():
