@@ -13,16 +13,12 @@ appear only where an operation returns them (the inverse QFT's FFT in
 
 A Hadamard layer is a ±1 Sylvester block product per group of one to five
 qubits, each one BLAS matrix product on unnormalised sums, and a single
-2^(-w/2) scale follows. The groups are fixed by the register's width w.
-13 to 16 qubits take the splits into groups of three and four qubits that
-ran fastest inside the Grover iterate, timed interleaved against every
-split into groups of three to five qubits with one BLAS thread
-(BENCH_25.json): 14, 15 and 16 qubits ran 12-14%, 34% and 5-10% faster
-than with ceil(w/5) groups, and at 13 qubits the two were within 2%. Every
-other width takes ceil(w/5) near-equal groups, widest last, which no other
-split clearly beat. A layer's scratch is one float64 array of the state's
-size (8 bytes per amplitude), allocated once per call and swapped with the
-state between products.
+2^(-w/2) scale ends it. The groups depend only on the register's width w:
+14 and 16 qubits take a fixed split measured inside the Grover iterate
+(`_SPLITS`), every other width ceil(w/5) near-equal groups, widest last.
+A layer's scratch is one float64 array of the state's size (8 bytes per
+amplitude), allocated once per call and swapped with the state between
+products.
 
 A measurement allocates one float64 array, its distribution (8 bytes per
 amplitude), and sampling from it allocates nothing of its size: measuring a
@@ -53,11 +49,11 @@ _GROUP_QUBITS = 5           # most qubits per block product of a Hadamard layer
 # H_5 = H x H x H x H x H with H = [[1, 1], [1, -1]]; its top-left 2^b corner
 # is H_b
 _H5 = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * _GROUP_QUBITS)
-# qubits per block product, in register order, for the register widths where
-# a split other than ceil(w/5) near-equal groups ran faster in the Grover
-# iterate (one BLAS thread; BENCH_25.json)
-_SPLITS = {13: (3, 3, 3, 4), 14: (3, 3, 4, 4), 15: (3, 4, 4, 4),
-           16: (3, 3, 3, 4, 3)}
+# qubits per block product, in register order, for the register widths of
+# perfbench's grover-table where a split other than ceil(w/5) near-equal
+# groups ran faster in the live Grover iterate; the search, per width and
+# split, and the paired benchmark runs are in BENCH_25.json
+_SPLITS = {14: (3, 3, 4, 4), 16: (3, 3, 3, 4, 3)}
 
 
 def check_capacity(qubit_count: int) -> None:
@@ -145,10 +141,11 @@ def init_basis(qubit_count: int, basis_index: int) -> StateVector:
     return StateVector(qubit_count, amps)
 
 
+@functools.cache
 def _group_widths(width: int) -> tuple[int, ...]:
     """Qubits per block product of a `width`-qubit Hadamard layer, in
     register order: `_SPLITS[width]` where there is one, else ceil(width/5)
-    near-equal groups, widest last."""
+    near-equal groups, widest last. Cached: a layer only looks it up."""
     split = _SPLITS.get(width)
     if split is None:
         count = -(-width // _GROUP_QUBITS)
@@ -157,11 +154,13 @@ def _group_widths(width: int) -> tuple[int, ...]:
 
 
 def _sylvester_products(amps: np.ndarray, scratch: np.ndarray,
-                        qubit_count: int, register: range) -> None:
-    """The unnormalised Walsh-Hadamard transform of `register`, in place on
+                        qubit_count: int, register: range,
+                        scale: float) -> None:
+    """The Walsh-Hadamard transform of `register` times `scale`, in place on
     a contiguous array; `scratch` is another of its size and dtype. Each group
     of qubits is one product with its ±1 block into the other array, and
-    the result is copied back when the group count is odd."""
+    `scale` is applied last: in place when the group count is even, on the
+    way back from the scratch when it is odd."""
     start = register.start
     src, dst = amps, scratch
     for width in _group_widths(len(register)):
@@ -176,30 +175,32 @@ def _sylvester_products(amps: np.ndarray, scratch: np.ndarray,
                       out=dst.reshape(before, mid, after))
         src, dst = dst, src
         start += width
-    if src is not amps:
-        np.copyto(amps, src)
+    if src is amps:
+        amps *= scale
+    else:
+        np.multiply(src, scale, out=amps)
 
 
 def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
     """Walsh-Hadamard transform on every qubit of `register` (in place).
 
     The register is split into groups of one to five qubits by its width
-    w (`_group_widths`): a 13- to 16-qubit register takes its fixed split
-    from `_SPLITS`, the one that ran fastest inside the Grover iterate, and
-    every other width ceil(w/5) near-equal groups, widest last. Each group
-    is one matrix product with the ±1 Sylvester block H_b of its b qubits,
-    the top-left 2^b corner of the 32 x 32 block H_5: a left product
-    batched over the qubits before the group, or, for a group that ends
-    the state, one right product. The products run on unnormalised
-    sums, through one scratch array of the state's size and dtype, and one
-    scale at the end, 2^(-w/2) for a w-qubit register, normalises the
-    result.
+    w (`_group_widths`): the fixed split in `_SPLITS` for 14 and 16
+    qubits, ceil(w/5) near-equal groups, widest last, for every other
+    width. Each group is one matrix product with the ±1 Sylvester block H_b
+    of its b qubits, the top-left 2^b corner of the 32 x 32 block H_5: a
+    left product batched over the qubits before the group, or, for a group
+    that ends the state, one right product. The products run on
+    unnormalised sums, through one scratch array of the state's size and
+    dtype, and one scale at the end, 2^(-w/2) for a w-qubit register,
+    normalises the result; after an odd number of groups it is the pass
+    that brings the result back from the scratch.
     """
     _check_register(state.qubit_count, register)
-    _sylvester_products(state.amps, np.empty_like(state.amps),
-                        state.qubit_count, register)
     width = len(register)
-    state.amps *= 0.5 ** (width // 2) * (_SQRT_HALF if width % 2 else 1.0)
+    scale = 0.5 ** (width // 2) * (_SQRT_HALF if width % 2 else 1.0)
+    _sylvester_products(state.amps, np.empty_like(state.amps),
+                        state.qubit_count, register, scale)
     assert state.amps.shape == (1 << state.qubit_count,)
     return _check_norm(state)
 

@@ -99,10 +99,10 @@ def _assert_matches_reference(state, register):
 
 def test_hadamard_matches_butterfly_reference_on_wide_registers():
     # registers of 10-13 qubits anywhere in a 13-qubit state (two groups,
-    # or three, whose odd count copies the result back), whole states of
-    # 13-16 qubits (the fixed splits, four groups or five), four groups at
-    # 17 qubits, and estimation's shape: range(0, m) of m + 1 qubits, with
-    # one qubit after the register
+    # or three, whose odd count scales the result on its way back), whole
+    # states of 13-16 qubits (three groups, or the fixed splits of 14 and
+    # 16), four groups at 17 qubits, and estimation's shape: range(0, m) of
+    # m + 1 qubits, with one qubit after the register
     rng = np.random.default_rng(29)
     q = 13
     for start in range(q - 9):
