@@ -11,7 +11,9 @@ sweeps only the first machine with a non-empty plan, parallel sweeps all.
 A plan lists counts largest first, so its shots ask for non-decreasing
 iterate counts, and each swept machine keeps one `grover.Evolution` for its
 whole sweep: it simulates only its largest shot's iterates, while its ledger
-is charged every shot's.
+is charged every shot's. Between shots an `Evolution` holds only its state,
+8 * 2^(n-k) bytes, so a parallel sweep holds 2^k states, and each shot adds
+one state-sized scratch or distribution while it runs.
 
 Seeding: machine i counts with derive(derive(seed, i), 0), and its sweep
 attempt j draws with derive(derive(derive(seed, i), 1), j). So for a >= 2

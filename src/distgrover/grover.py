@@ -6,18 +6,20 @@ is applied literally so that G equals estimation's Q = A U0_perp A^{-1} U_f
 amplitude for amplitude, as tests/test_estimation.py checks.
 
 An `Evolution` holds one function's register from the uniform start and
-advances it to the iterate count a shot asks for. Shots that ask for
-non-decreasing counts, as a distributed sweep's do, therefore simulate each
-iterate once, while `run_grover` still charges every shot all k of its
-oracle queries. The state after k iterates is the same array whichever way
-it was reached, so every draw samples the same distribution as a fresh run.
+advances it to the iterate count a shot asks for; asking for fewer is a
+UsageError. Shots that ask for non-decreasing counts, as a distributed
+sweep's do, therefore simulate each iterate once, while `run_grover` still
+charges every shot all k of its oracle queries. The state after k iterates
+is the same array whichever way it was reached, so every draw samples the
+same distribution as a fresh run.
 
-Memory of one shot, per amplitude of its 2^n: the state (8 bytes) plus
-either an iterate's Hadamard scratch (8) or the final distribution (8),
-never both, since `Evolution` drops a distribution before it moves the
-state. The phase oracle negates f's marked amplitudes in place and holds
-nothing of the state's size. A shot therefore peaks near 2 times its state,
-plus f's marked set (8 bytes per marked input).
+Memory, per amplitude of the 2^n: an `Evolution` holds its state (8 bytes)
+and nothing else between shots. A shot adds either an iterate's Hadamard
+scratch (8) or its distribution (8), never both, and the distribution is
+dropped once the draw is made. The phase oracle negates f's marked
+amplitudes in place and holds nothing of the state's size. A shot therefore
+peaks near 2 times its state, plus f's marked set (8 bytes per marked
+input).
 """
 
 from __future__ import annotations
@@ -73,39 +75,27 @@ def apply_grover_iterate(f: BooleanFunction,
 class Evolution:
     """f's register from the uniform start, advanced on request.
 
-    `distribution(k)` applies only the iterates beyond those already
-    applied, restarts from the uniform start when asked for fewer, and
-    returns the last distribution again when asked for the same k. It holds
-    one real state and one distribution, 16 bytes per amplitude, drops the
-    distribution before the state moves, and drops the state before a
-    restart builds the next one.
+    It holds f, one real state (8 bytes per amplitude) and the count of
+    iterates applied to it. `distribution(k)` applies only the iterates
+    beyond that count and measures the state afresh; a k below it, negative
+    k included, raises UsageError.
     """
 
     def __init__(self, f: BooleanFunction):
         self.f = f
-        self._distribution: MeasurementDistribution | None = None
-        self._restart()
-
-    def _restart(self) -> None:
-        n = self.f.arity
-        self.state = apply_hadamard_all(init_basis(n, 0), range(0, n))
+        self.state = apply_hadamard_all(init_basis(f.arity, 0),
+                                        range(0, f.arity))
         self.iterations = 0
 
     def distribution(self, iterations: int) -> MeasurementDistribution:
         """Exact measurement distribution after `iterations` iterates."""
-        if iterations < 0:
-            raise UsageError("iteration count must be >= 0")
-        if self._distribution is None or iterations != self.iterations:
-            self._distribution = None
-            if iterations < self.iterations:
-                self.state = None   # so the new state is not built beside it
-                self._restart()
-            for _ in range(iterations - self.iterations):
-                apply_grover_iterate(self.f, self.state)
-            self.iterations = iterations
-            self._distribution = measurement_distribution(
-                self.state, range(0, self.f.arity))
-        return self._distribution
+        if iterations < self.iterations:
+            raise UsageError(f"iteration count {iterations} is below the "
+                             f"{self.iterations} already applied")
+        for _ in range(iterations - self.iterations):
+            apply_grover_iterate(self.f, self.state)
+        self.iterations = iterations
+        return measurement_distribution(self.state, range(0, self.f.arity))
 
 
 def run_grover(f: BooleanFunction, assumed_a: int, seed: int,

@@ -90,20 +90,18 @@ class StateVector:
 
 
 class MeasurementDistribution:
-    """Exact outcome probabilities of a measured sub-register. A float64
-    array is kept as given, not copied, unless a negative value within the
-    tolerance has to be clipped to 0."""
+    """Exact outcome probabilities of a measured sub-register, which must
+    sum to 1 (a NaN sum fails too). A float64 array is kept as given, not
+    copied. Entries are not checked for sign: the one constructor in this
+    package, `measurement_distribution`, builds them as squares."""
 
     __slots__ = ("probabilities",)
 
     def __init__(self, probabilities: np.ndarray):
         p = np.asarray(probabilities, dtype=float)
-        lowest = p.min(initial=0.0)
-        if lowest < -NORM_TOL:
-            raise InvariantError("negative probability")
-        if abs(p.sum() - 1.0) > NORM_TOL:
+        if not abs(p.sum() - 1.0) <= NORM_TOL:
             raise InvariantError("probabilities do not sum to 1")
-        self.probabilities = np.clip(p, 0.0, None) if lowest < 0.0 else p
+        self.probabilities = p
 
 
 def _check_register(qubit_count: int, register: range) -> None:
@@ -123,7 +121,7 @@ def _split_shape(qubit_count: int, register: range) -> tuple[int, int, int]:
 
 
 def _check_norm(state: StateVector) -> StateVector:
-    if abs(state.norm_squared() - 1.0) > NORM_TOL:
+    if not abs(state.norm_squared() - 1.0) <= NORM_TOL:     # NaN fails
         raise InvariantError("state norm drifted beyond tolerance")
     return state
 

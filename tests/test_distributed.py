@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,3 +269,21 @@ def test_each_swept_machine_simulates_its_largest_shot_once(rng,
                 reference = runner(f, k, a, seed)
             assert _record(out) == _record(reference)
     assert reached_zero
+
+
+def test_parallel_sweep_holds_one_state_per_machine():
+    # each swept machine's Evolution holds its state (8 bytes per amplitude
+    # of its 2^(n-k)) and no distribution between shots, so the sweep peaks
+    # at 2^k states plus one shot's scratch or distribution; one state more
+    # covers the subfunctions, counting and small objects
+    n, k = 18, 2
+    f = marked_function(n, range(1 << k))     # one solution per machine
+    tracemalloc.start()
+    try:
+        out = run_parallel(f, k, 4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(m.attempts for m in out.machines)
+    assert out.status == "found"
+    assert peak <= ((1 << k) + 2) * (8 << (n - k))

@@ -145,13 +145,15 @@ def test_run_grover_query_accounting():
 
 def test_run_grover_charges_each_shot_all_its_iterates():
     # a shot's k iterates are charged even when its evolution holds them,
-    # and a shot with k = 0 adds no "oracle" entry
+    # and a shot with k = 0, on an evolution of its own, adds no "oracle"
+    # entry
     f = first_k_marked(6, 3)
     evolution = Evolution(f)
-    for a, k in ((4, 3), (2, 4), (2, 4), (64, 0)):
+    for a, k, held in ((4, 3, evolution), (2, 4, evolution),
+                       (2, 4, evolution), (64, 0, Evolution(f))):
         ledger = QueryLedger()
         fresh = QueryLedger()
-        assert run_grover(f, a, 7, ledger, evolution) == \
+        assert run_grover(f, a, 7, ledger, held) == \
             run_grover(f, a, 7, fresh)
         assert ledger.snapshot() == fresh.snapshot()
         assert ledger.breakdown == ({"oracle": k, "verify": 1} if k
@@ -161,9 +163,10 @@ def test_run_grover_charges_each_shot_all_its_iterates():
 
 
 def test_evolution_matches_a_fresh_run_for_any_count_sequence(monkeypatch):
-    # counts that rise, repeat and fall (a fall restarts from the uniform
-    # start); each distribution is the fresh run's, bit for bit, and only
-    # the iterates beyond the current count are applied
+    # counts that rise and repeat: each distribution is the fresh run's, bit
+    # for bit, and only the iterates beyond the current count are applied;
+    # a count that falls, negative ones included, is refused and changes
+    # nothing
     n = 6
     f = marked_function(n, [5, 40, 41])
     applied = []
@@ -174,19 +177,20 @@ def test_evolution_matches_a_fresh_run_for_any_count_sequence(monkeypatch):
 
     monkeypatch.setattr(grover, "apply_grover_iterate", counted_iterate)
     evolution = Evolution(f)
-    expected_iterates = previous = 0
-    for k in (0, 0, 2, 3, 3, 7, 1, 1, 4, 0, 5):
+    for k in (0, 0, 2, 3, 3, 7, 8, 8, 11):
         fresh = apply_hadamard_all(init_basis(n, 0), range(n))
         for _ in range(k):
             apply_grover_iterate(f, fresh)
         want = measurement_distribution(fresh, range(n)).probabilities
         assert np.array_equal(evolution.distribution(k).probabilities, want)
         assert evolution.iterations == k
-        expected_iterates += k - previous if k >= previous else k
-        previous = k
-    assert len(applied) == expected_iterates
-    with pytest.raises(UsageError):
-        evolution.distribution(-1)
+    assert len(applied) == 11
+    held = evolution.state.amps.copy()
+    for k in (10, 0, -1):
+        with pytest.raises(UsageError):
+            evolution.distribution(k)
+    assert evolution.iterations == 11 and len(applied) == 11
+    assert np.array_equal(evolution.state.amps, held)
 
 
 def _complex_copy(state):
@@ -254,27 +258,6 @@ def test_run_grover_peaks_below_two_and_a_half_states():
         tracemalloc.stop()
     assert outcome.is_solution == f.evaluate(outcome.measured_x)
     assert peak <= 2.5 * (8 << n)
-
-
-def test_evolution_restart_peaks_at_the_memory_it_already_holds():
-    # asked for fewer iterates than the last, an Evolution drops its state
-    # before it builds the uniform start again, so the restart never holds
-    # two states; the slack, 1/64 of a state, covers small objects
-    n = 18
-    f = first_k_marked(n, 3)
-    tracemalloc.start()
-    try:
-        evolution = Evolution(f)
-        evolution.distribution(8)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        restarted = evolution.distribution(2).probabilities
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= held + (8 << n) // 64
-    assert np.array_equal(restarted, Evolution(f).distribution(2)
-                          .probabilities)
 
 
 def _run_grover_distribution(monkeypatch, f, a, hadamard):

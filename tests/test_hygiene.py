@@ -2,7 +2,7 @@
 module-level private name in src/distgrover/ is referenced, every public
 function and method in src/distgrover/ is used outside the tests, every
 parameter of a function in src/distgrover/ is read, no function in
-src/distgrover/ stores into a module-level container, each of three
+src/distgrover/ stores into a module-level container, each of four
 concerns lives in the modules that own it, and no module in
 src/distgrover/ names a complex dtype.
 
@@ -30,7 +30,9 @@ leaves state behind for the next one. Ownership: only `statevector.py`
 reads the environment (`os.environ` or `os.getenv`) and constructs
 `CapacityError`, so the capacity check is one routine; only `grover.py` and
 `estimation.py` call `.add_quantum`, so each quantum query is charged once,
-by the run that spends it. Real amplitudes: no module in src/distgrover/
+by the run that spends it; only `statevector.py` constructs a
+`MeasurementDistribution`, whose entries go unchecked for sign because its
+`measurement_distribution` builds them as squares. Real amplitudes: no module in src/distgrover/
 names a complex dtype (`complex`, `np.complex128`, `np.cdouble`, a dtype
 string such as "c16"), writes an imaginary literal, tests for one
 (`isrealobj`, `iscomplexobj`) or reads an imaginary part (`.imag`), so
@@ -337,7 +339,8 @@ def test_scan_flags_a_store_into_module_state():
 # concern -> the modules of src/distgrover/ allowed to touch it
 OWNERS = {"os.environ": {"statevector.py"},
           "CapacityError()": {"statevector.py"},
-          ".add_quantum()": {"grover.py", "estimation.py"}}
+          ".add_quantum()": {"grover.py", "estimation.py"},
+          "MeasurementDistribution()": {"statevector.py"}}
 
 
 def _owned_uses(tree: ast.Module):
@@ -352,8 +355,8 @@ def _owned_uses(tree: ast.Module):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else \
                 getattr(func, "id", None)
-            if name == "CapacityError":
-                yield node.lineno, "CapacityError()"
+            if name in ("CapacityError", "MeasurementDistribution"):
+                yield node.lineno, f"{name}()"
             elif name == "add_quantum" and isinstance(func, ast.Attribute):
                 yield node.lineno, ".add_quantum()"
 
@@ -378,8 +381,11 @@ def test_scan_flags_a_concern_outside_its_owner():
     modules = {
         "statevector.py": ast.parse(
             "import os\nraw = os.environ.get('X')\n"
-            "raise errors.CapacityError('cap')\n"),
-        "grover.py": ast.parse("ledger.add_quantum(3, 'oracle')\n"),
+            "raise errors.CapacityError('cap')\n"
+            "d = MeasurementDistribution(p)\n"),
+        "grover.py": ast.parse("ledger.add_quantum(3, 'oracle')\n"
+                               "d = statevector.MeasurementDistribution(p)\n"
+                               "x: MeasurementDistribution = d\n"),
         "oracle.py": ast.parse(
             "from os import getenv\nimport os\n"
             "def f(ledger):\n"
@@ -389,6 +395,7 @@ def test_scan_flags_a_concern_outside_its_owner():
             "except_types = (CapacityError,)\n"),
     }
     assert _ownership_violations(modules) == [
+        "grover.py:2: MeasurementDistribution()",
         "oracle.py:1: os.environ", "oracle.py:4: .add_quantum()",
         "oracle.py:6: CapacityError()", "oracle.py:6: os.environ"]
 

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from distgrover import (CapacityError, MeasurementDistribution, QOperator,
+from distgrover import (CapacityError, InvariantError,
+                        MeasurementDistribution, QOperator,
                         UsageError, apply_controlled_powers,
                         apply_diagonal_phase, apply_grover_iterate,
                         apply_hadamard_all, apply_zero_reflection, init_basis,
@@ -360,6 +361,14 @@ def test_norm_preserved_after_operations():
     apply_diagonal_phase(s, np.array([4, 5, 12, 13]))   # qubits 1, 2 read 10
     apply_controlled_powers(s, 2, _z_transform)
     assert abs(s.norm_squared() - 1.0) < 1e-9
+
+
+def test_norm_checks_reject_nan():
+    # a NaN norm or sum is never within the tolerance of 1
+    with pytest.raises(InvariantError):
+        apply_zero_reflection(StateVector(2, np.full(4, np.nan)))
+    with pytest.raises(InvariantError):
+        MeasurementDistribution(np.full(4, np.nan))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
