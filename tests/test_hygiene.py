@@ -32,13 +32,14 @@ reads the environment (`os.environ` or `os.getenv`) and constructs
 `estimation.py` call `.add_quantum`, so each quantum query is charged once,
 by the run that spends it; only `statevector.py` constructs a
 `MeasurementDistribution`, whose entries go unchecked for sign because its
-`measurement_distribution` builds them as squares. Real amplitudes: no module in src/distgrover/
-names a complex dtype (`complex`, `np.complex128`, `np.cdouble`, a dtype
-string such as "c16"), writes an imaginary literal, tests for one
-(`isrealobj`, `iscomplexobj`) or reads an imaginary part (`.imag`), so
-states stay float64, complex amplitudes come only from an operation that
-returns them, the inverse QFT's FFT, and no kernel keeps a second path for
-them. `.real` stays allowed: a norm is the real part of a dot product.
+`measurement_distribution` builds them as squares. Real amplitudes: no
+module in src/distgrover/ names a complex dtype (`complex`,
+`np.complex128`, `np.cdouble`, a dtype string such as "c16"), writes an
+imaginary literal, tests for one (`isrealobj`, `iscomplexobj`) or reads
+an imaginary part (`.imag`), so states stay float64, complex amplitudes
+come only from an operation that returns them, the inverse QFT's FFT, and
+no kernel keeps a second path for them. `.real` stays allowed: a norm is
+the real part of a dot product.
 """
 
 from __future__ import annotations
