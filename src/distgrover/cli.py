@@ -57,15 +57,17 @@ def _write(path, text: str, mode: str) -> None:
 
 def cmd_grover(args, f: BooleanFunction) -> dict:
     n = f.arity
+    # refuses a bad a before the Evolution allocates its state
+    iterations = grover.grover_iterations(n, args.a)
     ledger = QueryLedger()
-    outcome = grover.run_grover(f, args.a, args.seed, ledger)
+    outcome = grover.run_grover(grover.Evolution(f), args.a, args.seed, ledger)
     return {
         "parameters": {"n": n, "a": args.a, "seed": args.seed,
                        "oracle": args.oracle},
         "outcome": {
             "measured_x": format(outcome.measured_x, f"0{n}b"),
             "is_solution": bool(outcome.is_solution),
-            "iterations": grover.grover_iterations(n, args.a),
+            "iterations": iterations,
             "predicted_success": grover.success_probability(n, args.a),
         },
         "ledger": ledger.snapshot(),

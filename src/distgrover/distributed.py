@@ -48,10 +48,6 @@ class MachineRecord:
     attempts: list[tuple[int, int, int]] = field(default_factory=list)
     ledger: QueryLedger = field(default_factory=QueryLedger)
 
-    @property
-    def total_queries(self) -> int:
-        return self.ledger.total
-
 
 @dataclass
 class DistOutcome:
@@ -117,7 +113,7 @@ def _finalize(status: str, solution: int | None, winner: int | None,
               machines: list[MachineRecord]) -> DistOutcome:
     totals_q = sum(m.ledger.quantum_queries for m in machines)
     totals_c = sum(m.ledger.classical_queries for m in machines)
-    depth = max((m.total_queries for m in machines), default=0)
+    depth = max((m.ledger.total for m in machines), default=0)
     return DistOutcome(
         status=status, solution=solution, found_by_machine=winner,
         machines=machines, total_quantum=totals_q, total_classical=totals_c,
@@ -157,9 +153,9 @@ def _sweep(subfunctions: list[BooleanFunction], k: int,
         for i, order in orders.items():
             if step >= len(order):
                 continue
-            outcome = run_grover(subfunctions[i], order[step],
+            outcome = run_grover(evolutions[i], order[step],
                                  derive(derive(derive(seed, i), 1), step),
-                                 machines[i].ledger, evolutions[i])
+                                 machines[i].ledger)
             machines[i].attempts.append((order[step], outcome.measured_x,
                                          outcome.is_solution))
             if outcome.is_solution:

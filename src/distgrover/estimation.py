@@ -82,7 +82,7 @@ def est_amp_distribution(f: BooleanFunction,
     # grows as 4^m; checking 2m qubits bounds it (and the 2^(m+1) amplitudes)
     check_capacity(2 * m)
     q = QOperator(f)
-    state = StateVector(m + 1, np.zeros(2 << m))
+    state = StateVector(np.zeros(2 << m))
     state.amps[:2] = q.start
     control = range(0, m)
     # the forward QFT of |0> on the reading register is H^m |0>

@@ -7,11 +7,13 @@ amplitude for amplitude, as tests/test_estimation.py checks.
 
 An `Evolution` holds one function's register from the uniform start and
 advances it to the iterate count a shot asks for; asking for fewer is a
-UsageError. Shots that ask for non-decreasing counts, as a distributed
-sweep's do, therefore simulate each iterate once, while `run_grover` still
-charges every shot all k of its oracle queries. The state after k iterates
-is the same array whichever way it was reached, so every draw samples the
-same distribution as a fresh run.
+UsageError. A shot, `run_grover`, takes an `Evolution` and searches its
+function: a lone shot passes a fresh `Evolution(f)`, and a distributed
+sweep passes the one its machine keeps. Shots that ask for non-decreasing
+counts, as a sweep's do, therefore simulate each iterate once, while
+`run_grover` still charges every shot all k of its oracle queries. The
+state after k iterates is the same array whichever way it was reached, so
+every draw samples the same distribution as a fresh run.
 
 Memory, per amplitude of the 2^n: an `Evolution` holds its state (8 bytes)
 and nothing else between shots. A shot adds either an iterate's Hadamard
@@ -78,7 +80,8 @@ class Evolution:
     It holds f, one real state (8 bytes per amplitude) and the count of
     iterates applied to it. `distribution(k)` applies only the iterates
     beyond that count and measures the state afresh; a k below it, negative
-    k included, raises UsageError.
+    k included, raises UsageError. Its f is the function every
+    `run_grover` shot on it searches and verifies against.
     """
 
     def __init__(self, f: BooleanFunction):
@@ -98,18 +101,14 @@ class Evolution:
         return measurement_distribution(self.state, range(0, self.f.arity))
 
 
-def run_grover(f: BooleanFunction, assumed_a: int, seed: int,
-               ledger: QueryLedger,
-               evolution: Evolution | None = None) -> GroverOutcome:
-    """Full search run: uniform start, k iterates, one sampled
-    measurement, one classical verification. The k iterates are charged as
-    k oracle queries even when `evolution`, one of f's kept across shots,
-    already holds some of them."""
+def run_grover(evolution: Evolution, assumed_a: int, seed: int,
+               ledger: QueryLedger) -> GroverOutcome:
+    """Full search run on `evolution.f`: uniform start, k iterates, one
+    sampled measurement, one classical verification. The k iterates are
+    charged as k oracle queries even when `evolution`, kept across shots,
+    already holds some of them; a fresh `Evolution(f)` runs them all."""
+    f = evolution.f
     iterations = grover_iterations(f.arity, assumed_a)
-    if evolution is None:
-        evolution = Evolution(f)
-    elif evolution.f is not f:
-        raise UsageError("evolution belongs to another function")
     measured = sample(evolution.distribution(iterations), seed)
     if iterations:
         ledger.add_quantum(iterations, "oracle")

@@ -77,11 +77,17 @@ def check_capacity(qubit_count: int) -> None:
 class StateVector:
     """2^q amplitudes, float64 while the state is real and complex128 after
     an operation that makes it complex; qubit 0 is the MSB of the basis
-    index."""
+    index. The array is kept as given, and q is read from its length: an
+    array that is not one axis of 2^q entries with q >= 1 raises
+    UsageError."""
 
     __slots__ = ("qubit_count", "amps")
 
-    def __init__(self, qubit_count: int, amps: np.ndarray):
+    def __init__(self, amps: np.ndarray):
+        qubit_count = amps.size.bit_length() - 1
+        if qubit_count < 1 or amps.shape != (1 << qubit_count,):
+            raise UsageError(f"amplitude array of shape {amps.shape} is not "
+                             "2^q entries for a q >= 1")
         self.qubit_count = qubit_count
         self.amps = amps
 
@@ -136,7 +142,7 @@ def init_basis(qubit_count: int, basis_index: int) -> StateVector:
                          f"{qubit_count} qubits")
     amps = np.zeros(dim)
     amps[basis_index] = 1.0
-    return StateVector(qubit_count, amps)
+    return StateVector(amps)
 
 
 @functools.cache
@@ -151,34 +157,6 @@ def _group_widths(width: int) -> tuple[int, ...]:
     return split
 
 
-def _sylvester_products(amps: np.ndarray, scratch: np.ndarray,
-                        qubit_count: int, register: range,
-                        scale: float) -> None:
-    """The Walsh-Hadamard transform of `register` times `scale`, in place on
-    a contiguous array; `scratch` is another of its size and dtype. Each group
-    of qubits is one product with its ±1 block into the other array, and
-    `scale` is applied last: in place when the group count is even, on the
-    way back from the scratch when it is odd."""
-    start = register.start
-    src, dst = amps, scratch
-    for width in _group_widths(len(register)):
-        before, mid, after = _split_shape(qubit_count,
-                                          range(start, start + width))
-        block = _H5[:mid, :mid]
-        if after == 1:
-            np.matmul(src.reshape(before, mid), block,
-                      out=dst.reshape(before, mid))
-        else:
-            np.matmul(block, src.reshape(before, mid, after),
-                      out=dst.reshape(before, mid, after))
-        src, dst = dst, src
-        start += width
-    if src is amps:
-        amps *= scale
-    else:
-        np.multiply(src, scale, out=amps)
-
-
 def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
     """Walsh-Hadamard transform on every qubit of `register` (in place).
 
@@ -189,17 +167,34 @@ def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
     of its b qubits, the top-left 2^b corner of the 32 x 32 block H_5: a
     left product batched over the qubits before the group, or, for a group
     that ends the state, one right product. The products run on
-    unnormalised sums, through one scratch array of the state's size and
-    dtype, and one scale at the end, 2^(-w/2) for a w-qubit register,
-    normalises the result; after an odd number of groups it is the pass
-    that brings the result back from the scratch.
+    unnormalised sums, alternating between the state and one scratch array
+    of its size and dtype. One scale, 2^(-w/2) for a w-qubit register,
+    normalises the result and is applied last: in place after an even
+    number of groups, and on the way back from the scratch after an odd
+    one.
     """
     _check_register(state.qubit_count, register)
     width = len(register)
+    amps = state.amps
+    src, dst = amps, np.empty_like(amps)
+    start = register.start
+    for group in _group_widths(width):
+        before, mid, after = _split_shape(state.qubit_count,
+                                          range(start, start + group))
+        block = _H5[:mid, :mid]
+        if after == 1:
+            np.matmul(src.reshape(before, mid), block,
+                      out=dst.reshape(before, mid))
+        else:
+            np.matmul(block, src.reshape(before, mid, after),
+                      out=dst.reshape(before, mid, after))
+        src, dst = dst, src
+        start += group
     scale = 0.5 ** (width // 2) * (_SQRT_HALF if width % 2 else 1.0)
-    _sylvester_products(state.amps, np.empty_like(state.amps),
-                        state.qubit_count, register, scale)
-    assert state.amps.shape == (1 << state.qubit_count,)
+    if src is amps:
+        amps *= scale
+    else:
+        np.multiply(src, scale, out=amps)
     return _check_norm(state)
 
 

@@ -8,7 +8,9 @@ kernel is checked against it.
 
 `reference_run_grover` is a Grover shot that builds its own state and
 charges one query per oracle call: the shot a distributed sweep ran before
-each swept machine kept one `grover.Evolution` for all its shots.
+each swept machine kept one `grover.Evolution` for all its shots. It takes
+f itself, where `grover.run_grover` takes an `Evolution` and searches its
+f.
 
 `distgrover.estimation` runs phase estimation on the reading register
 tensored with the 2-D plane of the normalised good and bad states. This

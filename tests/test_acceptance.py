@@ -15,6 +15,7 @@ import pytest
 
 from distgrover import (
     BooleanFunction,
+    Evolution,
     QueryLedger,
     candidate_window,
     compile_phase_oracle,
@@ -92,7 +93,7 @@ def test_criterion_01_grover_closed_form():
 
 def test_criterion_02_exact_rotation():
     dev = abs(_solution_mass(2, 1) - 1.0)
-    out = run_grover(first_k_marked(2, 1), 1, 0, QueryLedger())
+    out = run_grover(Evolution(first_k_marked(2, 1)), 1, 0, QueryLedger())
     ok = dev <= 1e-12 and out.is_solution == 1 and out.measured_x == 0
     _report(2, "exact-rotation-n2", ok, f"deviation {dev:.3e}")
 
@@ -158,7 +159,7 @@ def test_criterion_06_fast_path_queries():
         target = (1 << n) - 2
         f = marked_function(n, [target])
         single = QueryLedger()
-        run_grover(f, 1, 7, single)
+        run_grover(Evolution(f), 1, 7, single)
         ok &= single.quantum_queries == grover_iterations(n, 1)
         for k in (1, 2, 3):
             out = run_parallel(f, k, 1, seed=7)
@@ -182,7 +183,7 @@ def test_criterion_07_query_bounds():
         out_s = run_serial(f, k, a, seed)
         ok &= out_s.serial_total <= serial_bound
         out_p = run_parallel(f, k, a, seed)
-        ok &= all(mac.total_queries <= parallel_bound
+        ok &= all(mac.ledger.total <= parallel_bound
                   for mac in out_p.machines)
         instances += 1
     _report(7, "worst-case-query-bounds", ok, f"{instances} instances")

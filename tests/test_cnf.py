@@ -7,6 +7,7 @@ import pytest
 from distgrover import (
     BooleanFunction,
     CnfFormula,
+    Evolution,
     QueryLedger,
     compile_phase_oracle,
     compiler,
@@ -315,8 +316,8 @@ def test_compiled_oracle_phase_on_superposition(rng):
                      for _ in range(16)])
     amps /= np.linalg.norm(amps)
     from distgrover import StateVector
-    sv_a = StateVector(4, amps.copy())
-    sv_b = StateVector(4, amps.copy())
+    sv_a = StateVector(amps.copy())
+    sv_b = StateVector(amps.copy())
     oracle.apply_phase_oracle(sv_a, range(0, 4))
     table.apply_phase_oracle(sv_b, range(0, 4))
     assert np.allclose(sv_a.amps, sv_b.amps, atol=1e-12)
@@ -329,8 +330,8 @@ def test_grover_identical_with_compiled_oracle(rng):
         pytest.skip("unsatisfiable draw")
     compiled = oracle_from_formula(formula)
     table = BooleanFunction.from_truth_table(formula.truth_values())
-    out_c = run_grover(compiled, a, 31, QueryLedger())
-    out_t = run_grover(table, a, 31, QueryLedger())
+    out_c = run_grover(Evolution(compiled), a, 31, QueryLedger())
+    out_t = run_grover(Evolution(table), a, 31, QueryLedger())
     assert out_c.measured_x == out_t.measured_x
     assert out_c.is_solution == out_t.is_solution
 
@@ -438,12 +439,12 @@ def test_compiled_oracle_compiles_once_and_restricts_by_filtering(
     # two solutions: 4 Grover iterates, each one oracle query
     f = oracle_from_formula(CnfFormula(6, [(1,), (2,), (-3,), (4,), (5,)]))
     ledger = QueryLedger()
-    run_grover(f, 2, 5, ledger)
+    run_grover(Evolution(f), 2, 5, ledger)
     assert ledger.quantum_queries == 4
     est_amp_distribution(f, 3)
     sub = f.restrict("1")
     for _ in range(2):
-        run_grover(sub, 1, 5, QueryLedger())
+        run_grover(Evolution(sub), 1, 5, QueryLedger())
     assert calls == [6]
 
 

@@ -164,7 +164,7 @@ def test_parallel_finds_and_reports_depth():
     out = run_parallel(f, k, 3, seed=123)
     assert out.status == "found"
     assert f.truth_values()[out.solution] == 1
-    assert out.parallel_depth == max(m.total_queries for m in out.machines)
+    assert out.parallel_depth == max(m.ledger.total for m in out.machines)
     assert out.parallel_depth <= out.serial_total
 
 
@@ -213,7 +213,7 @@ def test_ledgers_within_worst_case_bounds(rng):
         out_s = run_serial(f, k, a, seed=rng.randint(0, 2 ** 32))
         assert out_s.serial_total <= serial_bound
         out_p = run_parallel(f, k, a, seed=rng.randint(0, 2 ** 32))
-        assert max(m.total_queries for m in out_p.machines) <= parallel_bound
+        assert max(m.ledger.total for m in out_p.machines) <= parallel_bound
 
 
 def test_statement_bound_is_reporting_only():
@@ -264,8 +264,8 @@ def test_each_swept_machine_simulates_its_largest_shot_once(rng,
             reached_zero += sum(kb.count(0) for kb in k_bs)
             with monkeypatch.context() as m:
                 m.setattr(distributed, "run_grover",
-                          lambda f_i, b, s, ledger, _evolution:
-                          reference_run_grover(f_i, b, s, ledger))
+                          lambda evolution, b, s, ledger:
+                          reference_run_grover(evolution.f, b, s, ledger))
                 reference = runner(f, k, a, seed)
             assert _record(out) == _record(reference)
     assert reached_zero

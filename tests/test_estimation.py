@@ -25,7 +25,7 @@ def test_q_operator_equals_grover_iterate():
     # with uniform preparation, the estimation iterate is exactly G
     f = marked_function(3, [1, 6])
     a = apply_hadamard_all(init_basis(3, 0), range(0, 3))
-    b = StateVector(a.qubit_count, a.amps.copy())
+    b = StateVector(a.amps.copy())
     _apply_q(f, a)
     apply_grover_iterate(f, b)
     assert np.abs(a.amps - b.amps).max() < 1e-12
@@ -81,7 +81,7 @@ def test_q_batch_matches_single():
     mat = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
     mat /= np.linalg.norm(mat, axis=1, keepdims=True)
     singles = np.stack([
-        apply_grover_iterate(f, StateVector(4, row.copy())).amps
+        apply_grover_iterate(f, StateVector(row.copy())).amps
         for row in mat])
     batched = mat.copy()
     reference.DenseQOperator(f).apply_batch(batched)
@@ -155,8 +155,8 @@ def test_real_start_matches_a_complex_start(monkeypatch):
         for t in sorted({0, 1, 2, big_n // 3, big_n - 1, big_n}):
             for m in range(1, 8):
                 real[n, t, m] = est_amp_distribution(first_k_marked(n, t), m)
-    monkeypatch.setattr(estimation, "StateVector", lambda q, amps:
-                        StateVector(q, amps.astype(np.complex128)))
+    monkeypatch.setattr(estimation, "StateVector", lambda amps:
+                        StateVector(amps.astype(np.complex128)))
     for (n, t, m), dist in real.items():
         p = dist.probabilities
         q = est_amp_distribution(first_k_marked(n, t), m).probabilities

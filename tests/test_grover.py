@@ -121,7 +121,7 @@ def test_run_grover_exact_case():
     f = marked_function(2, [1])
     for seed in (0, 1, 17):
         ledger = QueryLedger()
-        out = run_grover(f, 1, seed, ledger)
+        out = run_grover(Evolution(f), 1, seed, ledger)
         assert out.is_solution == 1
         assert out.measured_x == 1
         assert ledger.quantum_queries == 1
@@ -131,14 +131,14 @@ def test_run_grover_exact_case():
 def test_run_grover_no_solutions():
     f = marked_function(3, [])
     for seed in range(5):
-        out = run_grover(f, 1, seed, QueryLedger())
+        out = run_grover(Evolution(f), 1, seed, QueryLedger())
         assert out.is_solution == 0
 
 
 def test_run_grover_query_accounting():
     f = first_k_marked(6, 3)
     ledger = QueryLedger()
-    run_grover(f, 2, 5, ledger)
+    run_grover(Evolution(f), 2, 5, ledger)
     assert ledger.quantum_queries == grover_iterations(6, 2)
     assert ledger.classical_queries == 1
 
@@ -153,13 +153,11 @@ def test_run_grover_charges_each_shot_all_its_iterates():
                        (2, 4, evolution), (64, 0, Evolution(f))):
         ledger = QueryLedger()
         fresh = QueryLedger()
-        assert run_grover(f, a, 7, ledger, held) == \
-            run_grover(f, a, 7, fresh)
+        assert run_grover(held, a, 7, ledger) == \
+            run_grover(Evolution(f), a, 7, fresh)
         assert ledger.snapshot() == fresh.snapshot()
         assert ledger.breakdown == ({"oracle": k, "verify": 1} if k
                                     else {"verify": 1})
-    with pytest.raises(UsageError):
-        run_grover(first_k_marked(6, 3), 2, 7, QueryLedger(), evolution)
 
 
 def test_evolution_matches_a_fresh_run_for_any_count_sequence(monkeypatch):
@@ -194,7 +192,7 @@ def test_evolution_matches_a_fresh_run_for_any_count_sequence(monkeypatch):
 
 
 def _complex_copy(state):
-    return StateVector(state.qubit_count, state.amps.astype(np.complex128))
+    return StateVector(state.amps.astype(np.complex128))
 
 
 def test_real_start_matches_a_complex_copy_to_rounding():
@@ -228,7 +226,7 @@ def test_run_grover_empirical_frequency():
     n, trials = 6, 4000
     f = first_k_marked(n, 1)
     p = success_probability(n, 1)
-    hits = sum(run_grover(f, 1, seed, QueryLedger()).is_solution
+    hits = sum(run_grover(Evolution(f), 1, seed, QueryLedger()).is_solution
                for seed in range(trials))
     sigma = math.sqrt(trials * p * (1 - p))
     assert abs(hits - trials * p) <= 3 * sigma
@@ -236,8 +234,8 @@ def test_run_grover_empirical_frequency():
 
 def test_run_grover_deterministic():
     f = first_k_marked(5, 2)
-    a = run_grover(f, 2, 99, QueryLedger())
-    b = run_grover(f, 2, 99, QueryLedger())
+    a = run_grover(Evolution(f), 2, 99, QueryLedger())
+    b = run_grover(Evolution(f), 2, 99, QueryLedger())
     assert a == b
 
 
@@ -252,7 +250,7 @@ def test_run_grover_peaks_below_two_and_a_half_states():
     f.solution_count()
     tracemalloc.start()
     try:
-        outcome = run_grover(f, a, 3, QueryLedger())
+        outcome = run_grover(Evolution(f), a, 3, QueryLedger())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,7 +270,7 @@ def _run_grover_distribution(monkeypatch, f, a, hadamard):
 
     monkeypatch.setattr(grover, "measurement_distribution", measure)
     monkeypatch.setattr(grover, "apply_hadamard_all", hadamard)
-    run_grover(f, a, 0, QueryLedger())
+    run_grover(Evolution(f), a, 0, QueryLedger())
     (probabilities,) = captured
     return probabilities
 

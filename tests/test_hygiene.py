@@ -3,8 +3,8 @@ module-level private name in src/distgrover/ is referenced, every public
 function and method in src/distgrover/ is used outside the tests, every
 parameter of a function in src/distgrover/ is read, no function in
 src/distgrover/ stores into a module-level container, each of four
-concerns lives in the modules that own it, and no module in
-src/distgrover/ names a complex dtype.
+concerns lives in the modules that own it, no module in
+src/distgrover/ names a complex dtype, and none uses `assert`.
 
 Stdlib `ast` scans standing in for a linter's unused-import, dead-code and
 unused-argument rules. For imports, package `__init__.py` files are skipped
@@ -39,7 +39,9 @@ imaginary literal, tests for one (`isrealobj`, `iscomplexobj`) or reads
 an imaginary part (`.imag`), so states stay float64, complex amplitudes
 come only from an operation that returns them, the inverse QFT's FFT, and
 no kernel keeps a second path for them. `.real` stays allowed: a norm is
-the real part of a dot product.
+the real part of a dot product. No `assert` statement: `python -O` strips
+them, so an invariant written as one silently disappears; the package's
+invariants raise `InvariantError` instead.
 """
 
 from __future__ import annotations
@@ -458,3 +460,27 @@ def test_scan_flags_a_complex_dtype():
                                    (5, "2j"), (6, "'c16'"), (6, "cdouble"),
                                    (8, "imag"), (8, "iscomplexobj"),
                                    (8, "isrealobj"), (11, "complex64")]
+
+
+def _asserts(tree: ast.Module) -> list[int]:
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert))
+
+
+def test_no_assert_in_src():
+    files = sorted((ROOT / "src" / "distgrover").rglob("*.py"))
+    assert files
+    problems = [f"{path.relative_to(ROOT)}:{line}: assert"
+                for path in files
+                for line in _asserts(ast.parse(path.read_text()))]
+    assert not problems, "assert statements in src:\n" + "\n".join(problems)
+
+
+def test_scan_flags_an_assert():
+    tree = ast.parse("def f(x):\n"
+                     "    'assert x in a docstring'\n"
+                     "    assert x.shape == (4,)\n"
+                     "    if not x.all():\n"
+                     "        raise InvariantError('x')\n"
+                     "    return x\n")
+    assert _asserts(tree) == [3]

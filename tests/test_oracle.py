@@ -159,7 +159,7 @@ def test_phase_oracle_negates_exactly_the_marked_amplitudes(dtype):
             if dtype == np.complex128:
                 amps += 1j * rng.normal(size=size)
             amps /= np.linalg.norm(amps)
-            s = StateVector(n, amps.copy())
+            s = StateVector(amps.copy())
             BooleanFunction.from_truth_table(truth).apply_phase_oracle(
                 s, range(0, n))
             assert s.amps.dtype == dtype
@@ -198,7 +198,7 @@ def test_zero_reflection_matches_sign_array():
         amps /= np.linalg.norm(amps)
         signs = np.ones(1 << q)
         signs[0] = -1.0
-        s = apply_zero_reflection(StateVector(q, amps.copy()))
+        s = apply_zero_reflection(StateVector(amps.copy()))
         assert np.array_equal(s.amps, amps * signs)
 
 

@@ -34,6 +34,20 @@ def test_init_basis_errors():
         init_basis(40, 0)
 
 
+def test_state_vector_reads_its_width_from_its_array():
+    # q comes from the length alone, and the array is kept, not copied
+    for q in (1, 2, 5):
+        amps = np.zeros(1 << q)
+        s = StateVector(amps)
+        assert s.qubit_count == q and s.amps is amps
+    # a length that is not 2^q with q >= 1, or a second axis, is refused
+    # when the state is made, not inside a later layer's reshape
+    for amps in (np.zeros(0), np.zeros(1), np.zeros(3), np.zeros(12),
+                 np.zeros((2, 2))):
+        with pytest.raises(UsageError):
+            StateVector(amps)
+
+
 def test_capacity_env_override(monkeypatch):
     monkeypatch.setenv("DISTGROVER_MAX_QUBITS", "3")
     with pytest.raises(CapacityError):
@@ -63,7 +77,7 @@ def test_hadamard_involution_random():
     for q in (1, 3, 5):
         amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
         amps /= np.linalg.norm(amps)
-        s = StateVector(q, amps.copy())
+        s = StateVector(amps.copy())
         apply_hadamard_all(s, range(0, q))
         apply_hadamard_all(s, range(0, q))
         assert np.abs(s.amps - amps).max() < 1e-9
@@ -79,8 +93,8 @@ def test_hadamard_matches_butterfly_reference():
             for stop in range(start + 1, q + 1):
                 amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
                 amps /= np.linalg.norm(amps)
-                s = StateVector(q, amps.copy())
-                ref = StateVector(q, amps.copy())
+                s = StateVector(amps.copy())
+                ref = StateVector(amps.copy())
                 apply_hadamard_all(s, range(start, stop))
                 reference_hadamard_all(ref, range(start, stop))
                 assert np.abs(s.amps - ref.amps).max() <= 1e-12
@@ -88,11 +102,11 @@ def test_hadamard_matches_butterfly_reference():
 
 def _random_real_state(rng, q):
     amps = rng.normal(size=1 << q)
-    return StateVector(q, amps / np.linalg.norm(amps))
+    return StateVector(amps / np.linalg.norm(amps))
 
 
 def _assert_matches_reference(state, register):
-    ref = StateVector(state.qubit_count, state.amps.copy())
+    ref = StateVector(state.amps.copy())
     apply_hadamard_all(state, register)
     reference_hadamard_all(ref, register)
     assert np.abs(state.amps - ref.amps).max() <= 1e-12, register
@@ -135,7 +149,7 @@ def test_hadamard_real_state_matches_a_complex_copy_to_rounding():
         for start in range(q):
             for stop in range(start + 1, q + 1):
                 real = _random_real_state(rng, q)
-                twin = StateVector(q, real.amps.astype(np.complex128))
+                twin = StateVector(real.amps.astype(np.complex128))
                 apply_hadamard_all(real, range(start, stop))
                 apply_hadamard_all(twin, range(start, stop))
                 assert np.abs(twin.amps.real - real.amps).max() <= 1e-15
@@ -177,7 +191,7 @@ def test_diagonal_phase_involution():
     marked = np.flatnonzero(rng.integers(0, 2, size=32))
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
-    s = StateVector(5, amps.copy())
+    s = StateVector(amps.copy())
     apply_diagonal_phase(s, marked)
     apply_diagonal_phase(s, marked)
     assert np.abs(s.amps - amps).max() < 1e-12
@@ -187,7 +201,7 @@ def test_diagonal_phase_rejects_an_index_outside_the_state():
     # the ends of the ascending index array are checked before any write
     for marked in ([-1, 2], [3, 8], [8]):
         amps = np.full(8, math.sqrt(1 / 8))
-        s = StateVector(3, amps.copy())
+        s = StateVector(amps.copy())
         with pytest.raises(UsageError, match="marked indices"):
             apply_diagonal_phase(s, np.array(marked))
         assert np.array_equal(s.amps, amps)
@@ -226,7 +240,7 @@ def test_controlled_powers_matches_direct_powers():
     psi = rng.normal(size=1 << rest) + 1j * rng.normal(size=1 << rest)
     psi /= np.linalg.norm(psi)
     for j in range(1 << m):
-        s = StateVector(m + rest, np.kron(init_basis(m, j).amps, psi))
+        s = StateVector(np.kron(init_basis(m, j).amps, psi))
         apply_controlled_powers(s, m, u)
         expected = psi.copy()
         for _ in range(j):
@@ -282,7 +296,7 @@ def test_measurement_distribution_allocates_one_array():
     # array, 8 MiB, and no temporaries beside it
     rng = np.random.default_rng(20)
     amps = rng.normal(size=1 << 20)
-    s = StateVector(20, amps / np.sqrt(np.square(amps).sum()))
+    s = StateVector(amps / np.sqrt(np.square(amps).sum()))
     tracemalloc.start()
     try:
         d = measurement_distribution(s, range(0, 20))
@@ -366,7 +380,7 @@ def test_norm_preserved_after_operations():
 def test_norm_checks_reject_nan():
     # a NaN norm or sum is never within the tolerance of 1
     with pytest.raises(InvariantError):
-        apply_zero_reflection(StateVector(2, np.full(4, np.nan)))
+        apply_zero_reflection(StateVector(np.full(4, np.nan)))
     with pytest.raises(InvariantError):
         MeasurementDistribution(np.full(4, np.nan))
 
@@ -387,7 +401,7 @@ def test_real_kernels_keep_dtype_in_place(dtype):
     ]
     for kernel in kernels:
         amps = rng.normal(size=16).astype(dtype)
-        s = StateVector(4, amps / np.linalg.norm(amps))
+        s = StateVector(amps / np.linalg.norm(amps))
         before = s.amps
         assert kernel(s) is s
         assert s.amps is before and before.dtype == dtype
