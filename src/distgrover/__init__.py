@@ -5,9 +5,9 @@ compilation, with exact query accounting throughout."""
 from .cnf import CnfFormula, parse_dimacs
 from .compiler import (CircuitIR, build_uk, compile_phase_oracle, gate_count,
                        oracle_from_formula)
-from .distributed import (CandidateSet, DistOutcome, build_candidate_set,
-                          candidate_window, decompose, run_parallel,
-                          run_serial, threshold_t_a, worst_case_query_bound)
+from .distributed import (DistOutcome, build_candidate_set, candidate_window,
+                          decompose, run_parallel, run_serial, threshold_t_a,
+                          worst_case_query_bound)
 from .errors import (CapacityError, DistGroverError, InvariantError,
                      ParseError, UsageError)
 from .estimation import (CountEstimate, QOperator, counting_grid_for,

@@ -120,8 +120,7 @@ def cmd_dist(args, f: BooleanFunction) -> dict:
             "per_machine": [
                 {"machine": m.index,
                  "ledger": m.ledger.snapshot(),
-                 "estimate": None if m.candidate_set is None
-                 else m.candidate_set.estimate,
+                 "estimate": m.estimate,
                  "attempts": len(m.attempts)}
                 for m in outcome.machines],
         },

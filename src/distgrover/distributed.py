@@ -6,20 +6,24 @@ truth-table slice table[i :: 2^k]. Each machine first runs
 quantum counting to build a candidate window for its solution count, then
 sweeps the window with Grover runs, verifying every measurement classically.
 
-Both modes plan each machine with `_plan` and sweep with `_sweep`; serial
-sweeps only the first machine with a non-empty plan, parallel sweeps all.
-A plan lists counts largest first, so its shots ask for non-decreasing
-iterate counts, and each swept machine keeps one `grover.Evolution` for its
-whole sweep: it simulates only its largest shot's iterates, while its ledger
-is charged every shot's. Between shots an `Evolution` holds only its state,
-8 * 2^(n-k) bytes, so a parallel sweep holds 2^k states, and each shot adds
-one state-sized scratch or distribution while it runs.
+Each machine is one `MachineRecord`, the one owner of what it planned and
+did: its estimate, its plan, its attempts and its ledger. A run's
+`DistOutcome` holds the solution and the records, and reads its status and
+totals from them. Both modes plan each machine with `_plan` and sweep with
+`_sweep`; serial sweeps only the first machine with a non-empty plan,
+parallel sweeps all. A plan is the window reversed, counts largest first,
+so its shots ask for non-decreasing iterate counts, and each swept machine
+keeps one `grover.Evolution` for its whole sweep: it simulates only its
+largest shot's iterates, while its ledger is charged every shot's. Between
+shots an `Evolution` holds only its state, 8 * 2^(n-k) bytes, so a
+parallel sweep holds 2^k states, and each shot adds one state-sized scratch
+or distribution while it runs.
 
 Seeding: machine i counts with derive(derive(seed, i), 0), and its sweep
 attempt j draws with derive(derive(derive(seed, i), 1), j). So for a >= 2
-every machine serial visits has the same candidate set as in parallel, and
-on the machine serial sweeps, its parallel attempts are a prefix of its
-serial ones. (At a = 1 parallel skips counting and tries b = 1 only.)
+every machine serial visits has the same estimate and plan as in parallel,
+and on the machine serial sweeps, its parallel attempts are a prefix of its
+serial ones. (At a = 1 parallel skips counting and every plan is b = 1.)
 """
 
 from __future__ import annotations
@@ -35,30 +39,45 @@ from .oracle import BooleanFunction
 from .seeding import derive
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    estimate: int
-    candidates: tuple[int, ...]
-
-
-@dataclass
+@dataclass(slots=True)
 class MachineRecord:
+    """One machine's run: its counting estimate (None when counting is
+    skipped), its plan (the counts it sweeps, largest first), its attempts
+    (b, measured x, verified) and its ledger."""
     index: int
-    candidate_set: CandidateSet | None
+    estimate: int | None = None
+    plan: range | tuple[int, ...] = ()
     attempts: list[tuple[int, int, int]] = field(default_factory=list)
     ledger: QueryLedger = field(default_factory=QueryLedger)
 
 
 @dataclass
 class DistOutcome:
-    status: str                      # "found" | "not_found"
+    """A run's solution, the machine that verified it (both None when none
+    was found) and its machine records, from which its totals are read."""
     solution: int | None
     found_by_machine: int | None
     machines: list[MachineRecord]
-    total_quantum: int
-    total_classical: int
-    parallel_depth: int
-    serial_total: int
+
+    @property
+    def status(self) -> str:
+        return "not_found" if self.solution is None else "found"
+
+    @property
+    def total_quantum(self) -> int:
+        return sum(m.ledger.quantum_queries for m in self.machines)
+
+    @property
+    def total_classical(self) -> int:
+        return sum(m.ledger.classical_queries for m in self.machines)
+
+    @property
+    def serial_total(self) -> int:
+        return self.total_quantum + self.total_classical
+
+    @property
+    def parallel_depth(self) -> int:
+        return max((m.ledger.total for m in self.machines), default=0)
 
 
 def _check_split(n: int, k: int) -> None:
@@ -79,23 +98,24 @@ def threshold_t_a(a: int) -> int:
     return int(math.ceil(2.0 * math.pi * math.sqrt(a) + 11.0))
 
 
-def candidate_window(estimate: int, t_a: int, sub_arity: int) -> tuple[int, ...]:
-    """The count window around an estimate, clamped to [1, 2^sub_arity].
+def candidate_window(estimate: int, t_a: int, sub_arity: int) -> range:
+    """The count window around an estimate, ascending and clamped to
+    [1, 2^sub_arity].
 
     Zero is excluded (a zero count means nothing to search for), and counts
     outside the domain are impossible, hence the clamp.
     """
-    lo = max(1, estimate - t_a)
-    hi = min(1 << sub_arity, estimate + t_a)
-    return tuple(range(lo, hi + 1)) if lo <= hi else ()
+    return range(max(1, estimate - t_a),
+                 min(1 << sub_arity, estimate + t_a) + 1)
 
 
 def build_candidate_set(f_i: BooleanFunction, a: int, seed: int,
-                        ledger: QueryLedger) -> CandidateSet:
-    """Counting run plus window construction for one machine.
+                        ledger: QueryLedger) -> tuple[int, range]:
+    """Counting run plus window construction for one machine: (estimate,
+    window).
 
     A zero estimate is certain when the subfunction is constant zero; only
-    then is the set empty. A zero estimate on a non-constant subfunction
+    then is the window empty. A zero estimate on a non-constant subfunction
     still yields the clamped window (the true count may well be inside it).
     The constant-zero confirmation is an exhaustive classical check and is
     not charged to the ledger.
@@ -105,19 +125,8 @@ def build_candidate_set(f_i: BooleanFunction, a: int, seed: int,
     estimate = run_count(f_i, grid, seed, ledger).t_prime_rounded
     t_a = threshold_t_a(a)
     if estimate == 0 and f_i.solution_count() == 0:
-        return CandidateSet(estimate, ())
-    return CandidateSet(estimate, candidate_window(estimate, t_a, sub_arity))
-
-
-def _finalize(status: str, solution: int | None, winner: int | None,
-              machines: list[MachineRecord]) -> DistOutcome:
-    totals_q = sum(m.ledger.quantum_queries for m in machines)
-    totals_c = sum(m.ledger.classical_queries for m in machines)
-    depth = max((m.ledger.total for m in machines), default=0)
-    return DistOutcome(
-        status=status, solution=solution, found_by_machine=winner,
-        machines=machines, total_quantum=totals_q, total_classical=totals_c,
-        parallel_depth=depth, serial_total=totals_q + totals_c)
+        return estimate, range(0)
+    return estimate, candidate_window(estimate, t_a, sub_arity)
 
 
 def _split(f: BooleanFunction, k: int, a: int) -> list[BooleanFunction]:
@@ -131,65 +140,64 @@ def _split(f: BooleanFunction, k: int, a: int) -> list[BooleanFunction]:
 
 
 def _plan(f_i: BooleanFunction, a: int, seed: int,
-          record: MachineRecord) -> list[int]:
-    """Machine record.index's counting stage: its candidate counts, largest
-    first (fewest iterations first)."""
-    record.candidate_set = build_candidate_set(
-        f_i, a, derive(derive(seed, record.index), 0), record.ledger)
-    return sorted(record.candidate_set.candidates, reverse=True)
+          index: int) -> MachineRecord:
+    """Machine `index`'s counting stage: its record, holding the estimate,
+    the counting charges and the plan, the window's counts largest first
+    (fewest iterations first)."""
+    ledger = QueryLedger()
+    estimate, window = build_candidate_set(
+        f_i, a, derive(derive(seed, index), 0), ledger)
+    return MachineRecord(index, estimate, window[::-1], ledger=ledger)
 
 
 def _sweep(subfunctions: list[BooleanFunction], k: int,
-           orders: dict[int, list[int]], seed: int,
+           swept: list[MachineRecord], seed: int,
            machines: list[MachineRecord]) -> DistOutcome:
-    """Step-locked sweep of the machines in `orders`: at step j, every
-    machine i with a j-th candidate b runs one verified Grover shot for b,
+    """Step-locked sweep of the `swept` records: at step j, every machine
+    i with a j-th count b in its plan runs one verified Grover shot for b,
     seeded derive(derive(derive(seed, i), 1), j). The first step with a
     verified solution ends the sweep, the lowest machine index winning."""
-    evolutions = {i: Evolution(subfunctions[i])
-                  for i, order in orders.items() if order}
-    for step in range(max(map(len, orders.values()), default=0)):
+    evolutions = {m.index: Evolution(subfunctions[m.index])
+                  for m in swept if m.plan}
+    for step in range(max((len(m.plan) for m in swept), default=0)):
         finishers: list[tuple[int, int]] = []
-        for i, order in orders.items():
-            if step >= len(order):
+        for m in swept:
+            if step >= len(m.plan):
                 continue
-            outcome = run_grover(evolutions[i], order[step],
-                                 derive(derive(derive(seed, i), 1), step),
-                                 machines[i].ledger)
-            machines[i].attempts.append((order[step], outcome.measured_x,
-                                         outcome.is_solution))
+            b = m.plan[step]
+            shot_seed = derive(derive(derive(seed, m.index), 1), step)
+            outcome = run_grover(evolutions[m.index], b, shot_seed, m.ledger)
+            m.attempts.append((b, outcome.measured_x, outcome.is_solution))
             if outcome.is_solution:
-                finishers.append((i, outcome.measured_x))
+                finishers.append((m.index, outcome.measured_x))
         if finishers:
             winner, x = min(finishers)
-            return _finalize("found", (x << k) | winner, winner, machines)
-    return _finalize("not_found", None, None, machines)
+            return DistOutcome((x << k) | winner, winner, machines)
+    return DistOutcome(None, None, machines)
 
 
 def run_serial(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
     """Visit machines in ascending order; sweep the first machine whose
-    candidate set is non-empty and stop there, found or not."""
+    plan is non-empty and stop there, found or not."""
     subfunctions = _split(f, k, a)
     machines: list[MachineRecord] = []
     for i, f_i in enumerate(subfunctions):
-        machines.append(MachineRecord(index=i, candidate_set=None))
-        order = _plan(f_i, a, seed, machines[i])
-        if order:
-            return _sweep(subfunctions, k, {i: order}, seed, machines)
-    return _finalize("not_found", None, None, machines)
+        machines.append(_plan(f_i, a, seed, i))
+        if machines[i].plan:
+            return _sweep(subfunctions, k, [machines[i]], seed, machines)
+    return DistOutcome(None, None, machines)
 
 
 def run_parallel(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
     """All machines count, then sweep step-locked; the first verified
     solution wins, lowest machine index breaking ties within a step. With a
-    known unique solution (a = 1) the counting stage is skipped and every
-    machine runs a single Grover shot for b = 1."""
+    known unique solution (a = 1) the counting stage is skipped: every
+    machine's estimate stays None and its plan is the one count b = 1."""
     subfunctions = _split(f, k, a)
-    machines = [MachineRecord(index=i, candidate_set=None)
-                for i in range(len(subfunctions))]
-    orders = {i: [1] if a == 1 else _plan(f_i, a, seed, machines[i])
-              for i, f_i in enumerate(subfunctions)}
-    return _sweep(subfunctions, k, orders, seed, machines)
+    machines = [MachineRecord(i, plan=(1,)) if a == 1
+                else _plan(f_i, a, seed, i)
+                for i, f_i in enumerate(subfunctions)]
+    return _sweep(subfunctions, k, machines, seed, machines)
 
 
 def worst_case_query_bound(n: int, k: int, a: int) -> tuple[int, int]:
@@ -204,9 +212,7 @@ def worst_case_query_bound(n: int, k: int, a: int) -> tuple[int, int]:
     t_a = threshold_t_a(a)
     sub = n - k
     sweep = (2 * t_a + 1) * grover_iterations(sub, 1)
-    count_nominal = math.isqrt(1 << sub)
-    if count_nominal * count_nominal < (1 << sub):
-        count_nominal += 1
+    count_nominal = math.isqrt((1 << sub) - 1) + 1     # ceil(sqrt(2^sub))
     checks = 2 * t_a + 1
     serial = sweep + (1 << k) * count_nominal + checks
     parallel = sweep + count_nominal + checks

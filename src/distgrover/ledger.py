@@ -7,6 +7,8 @@ in the library is checked against these counters, never against wall clock.
 
 from __future__ import annotations
 
+from .errors import InvariantError
+
 
 class QueryLedger:
     def __init__(self) -> None:
@@ -16,13 +18,13 @@ class QueryLedger:
 
     def add_quantum(self, count: int, phase: str) -> None:
         if count < 0:
-            raise ValueError("query counts are monotone")
+            raise InvariantError("query counts are monotone")
         self.quantum_queries += count
         self.breakdown[phase] = self.breakdown.get(phase, 0) + count
 
     def add_classical(self, count: int) -> None:
         if count < 0:
-            raise ValueError("query counts are monotone")
+            raise InvariantError("query counts are monotone")
         self.classical_queries += count
         self.breakdown["verify"] = self.breakdown.get("verify", 0) + count
 

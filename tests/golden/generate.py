@@ -14,8 +14,8 @@ the stderr text and, for `compile`, the IR file written.
 
 Covered: table inputs at n = 1..10 with t in {0, 1, 2, N/3, N - 1, N};
 grover with a = 1, a = t and a above t; count on the default grid and on
-grids 2 and 4; dist-serial and dist-parallel at k = n/2, k = n - 1 and, up
-to n = 8, k = 1, so odd n and the a = 1 fast path occur; planted 3-CNFs
+grids 2 and 4; dist-serial and dist-parallel at k = 1, k = n/2 and
+k = n - 1, so odd n and the a = 1 fast path occur; planted 3-CNFs
 run through the table and the compiled oracle and through `compile`; a
 dropped tautology, the empty clause and the empty formula; and runs that
 exit 1, 2 and 3.
@@ -123,8 +123,7 @@ def _table_cases(n: int, t: int):
         yield ["count", "--input", path, "--grid", str(grid), "--seed", "3"]
     if n < 2:
         return
-    # k = 1 leaves 2^(n-1)-amplitude machines: kept to n <= 8 for time
-    for k in sorted({n // 2, n - 1} | ({1} if n <= 8 else set())):
+    for k in sorted({1, n // 2, n - 1}):
         for a in sorted({1, min(t + 1, big_n)}):
             for mode in ("serial", "parallel"):
                 yield [f"dist-{mode}", "--input", path, "--k", str(k),

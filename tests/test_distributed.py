@@ -6,6 +6,7 @@ import pytest
 
 from distgrover import (
     BooleanFunction,
+    DistOutcome,
     QueryLedger,
     build_candidate_set,
     candidate_window,
@@ -59,19 +60,19 @@ def test_threshold_values():
 
 
 def test_candidate_window_clamping():
-    assert candidate_window(5, 3, 4) == tuple(range(2, 9))
-    assert candidate_window(0, 3, 4) == (1, 2, 3)          # clamp at 1
-    assert candidate_window(15, 3, 4) == tuple(range(12, 17))  # clamp at 2^s
-    assert candidate_window(8, 20, 3) == tuple(range(1, 9))   # both sides
+    assert candidate_window(5, 3, 4) == range(2, 9)
+    assert candidate_window(0, 3, 4) == range(1, 4)        # clamp at 1
+    assert candidate_window(15, 3, 4) == range(12, 17)     # clamp at 2^s
+    assert candidate_window(8, 20, 3) == range(1, 9)       # both sides
     assert len(candidate_window(8, 20, 3)) <= 2 * 20 + 1
 
 
 def test_candidate_set_constant_zero_stops():
     f_i = marked_function(4, [])
     ledger = QueryLedger()
-    cs = build_candidate_set(f_i, 2, 7, ledger)
-    assert cs.candidates == ()
-    assert cs.estimate == 0
+    estimate, window = build_candidate_set(f_i, 2, 7, ledger)
+    assert len(window) == 0
+    assert estimate == 0
     # counting was still charged
     assert ledger.quantum_queries > 0
 
@@ -86,10 +87,10 @@ def test_candidate_set_zero_estimate_nonconstant_keeps_window():
     # one solution in 2^7: the estimate often rounds to zero, but the window
     # must survive because the subfunction is not constant zero
     f_i = marked_function(7, [100])
-    cs = build_candidate_set(f_i, 1, 3, QueryLedger())
-    assert cs.candidates != ()
-    assert cs.candidates[0] == 1
-    assert len(cs.candidates) <= 2 * threshold_t_a(1) + 1
+    _, window = build_candidate_set(f_i, 1, 3, QueryLedger())
+    assert len(window) != 0
+    assert window[0] == 1
+    assert len(window) <= 2 * threshold_t_a(1) + 1
 
 
 def test_sweeps_try_largest_first_and_verify_every_shot(rng):
@@ -120,7 +121,7 @@ def test_serial_visits_plan_like_parallel_and_sweep_a_prefix(rng):
         parallel = run_parallel(f, k, len(marked), seed)
         for s_m in serial.machines:
             p_m = parallel.machines[s_m.index]
-            assert s_m.candidate_set == p_m.candidate_set
+            assert (s_m.estimate, s_m.plan) == (p_m.estimate, p_m.plan)
             assert p_m.attempts == s_m.attempts[:len(p_m.attempts)]
         # serial sweeps the last machine it visits, and only that one
         assert all(not m.attempts for m in serial.machines[:-1])
@@ -144,9 +145,9 @@ def test_serial_stops_after_first_swept_machine():
     out = run_serial(f, 1, 1, seed=9)
     assert out.status == "found"
     assert out.found_by_machine == 1
-    # machine 0 only counted (constant zero -> empty set, no sweep)
+    # machine 0 only counted (constant zero -> empty plan, no sweep)
     m0 = out.machines[0]
-    assert m0.candidate_set.candidates == ()
+    assert len(m0.plan) == 0
     assert m0.attempts == []
 
 
@@ -155,7 +156,7 @@ def test_serial_not_found_on_constant_zero():
     out = run_serial(f, 2, 1, seed=1)
     assert out.status == "not_found"
     assert out.solution is None
-    assert all(m.candidate_set.candidates == () for m in out.machines)
+    assert all(len(m.plan) == 0 for m in out.machines)
 
 
 def test_parallel_finds_and_reports_depth():
@@ -177,9 +178,27 @@ def test_parallel_fast_path_query_counts():
     assert out.solution == target
     per_machine = grover_iterations(n - k, 1)
     for m in out.machines:
-        assert m.candidate_set is None          # counting skipped
+        assert m.estimate is None               # counting skipped
+        assert m.plan == (1,)
         assert m.ledger.quantum_queries == per_machine
         assert m.ledger.classical_queries == 1
+
+
+def test_outcome_reads_status_and_totals_from_its_machines():
+    out = run_parallel(marked_function(6, [7, 33, 48]), 2, 3, seed=123)
+    assert out.status == "found"
+    quantum, classical = out.total_quantum, out.total_classical
+    serial, depth = out.serial_total, out.parallel_depth
+    winner = out.machines[out.found_by_machine]
+    winner.ledger.add_classical(depth)       # now the deepest machine
+    assert out.total_quantum == quantum
+    assert out.total_classical == classical + depth
+    assert out.serial_total == serial + depth
+    assert out.parallel_depth == winner.ledger.total > depth
+    empty = DistOutcome(None, None, [])
+    assert empty.status == "not_found"
+    assert (empty.total_quantum, empty.total_classical, empty.serial_total,
+            empty.parallel_depth) == (0, 0, 0, 0)
 
 
 def test_runs_are_deterministic():
@@ -235,7 +254,7 @@ def _random_instances(rng, count):
 def _record(out):
     return (out.status, out.solution, out.found_by_machine,
             out.total_quantum, out.total_classical, out.parallel_depth,
-            [(m.index, m.candidate_set, m.attempts, m.ledger.snapshot())
+            [(m.index, m.estimate, m.plan, m.attempts, m.ledger.snapshot())
              for m in out.machines])
 
 

@@ -4,7 +4,8 @@ function and method in src/distgrover/ is used outside the tests, every
 parameter of a function in src/distgrover/ is read, no function in
 src/distgrover/ stores into a module-level container, each of four
 concerns lives in the modules that own it, no module in
-src/distgrover/ names a complex dtype, and none uses `assert`.
+src/distgrover/ names a complex dtype, none uses `assert`, and every
+`raise` there names a `DistGroverError` subclass.
 
 Stdlib `ast` scans standing in for a linter's unused-import, dead-code and
 unused-argument rules. For imports, package `__init__.py` files are skipped
@@ -41,7 +42,14 @@ come only from an operation that returns them, the inverse QFT's FFT, and
 no kernel keeps a second path for them. `.real` stays allowed: a norm is
 the real part of a dot product. No `assert` statement: `python -O` strips
 them, so an invariant written as one silently disappears; the package's
-invariants raise `InvariantError` instead.
+invariants raise `InvariantError` instead. Package errors only: each
+`raise` in src/distgrover/ names a subclass of `errors.DistGroverError`
+(directly or as `module.Name`, called or not), since any other exception
+reaches the CLI as a Python traceback instead of an exit code and an
+`error:` line. A raise inside the body of a `try` in the same function whose
+handler names that type is exempt, as `check_capacity` turns its
+`ValueError` into a `UsageError`; a bare `raise` re-raises and is not
+checked.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
+
+from distgrover import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -484,3 +494,71 @@ def test_scan_flags_an_assert():
                      "        raise InvariantError('x')\n"
                      "    return x\n")
     assert _asserts(tree) == [3]
+
+
+def _exception_name(expr: ast.expr) -> str | None:
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    return expr.attr if isinstance(expr, ast.Attribute) else \
+        getattr(expr, "id", None)
+
+
+def _foreign_raises(tree: ast.Module,
+                    allowed: set[str]) -> list[tuple[int, str]]:
+    problems = []
+
+    def visit(node: ast.AST, handled: frozenset) -> None:
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            name = _exception_name(node.exc)
+            if name not in allowed and name not in handled:
+                problems.append((node.lineno, name))
+        if isinstance(node, FUNCTIONS):
+            handled = frozenset()
+        if isinstance(node, (ast.Try, ast.TryStar)):
+            caught = {_exception_name(t) for h in node.handlers
+                      if h.type is not None
+                      for t in (h.type.elts if isinstance(h.type, ast.Tuple)
+                                else [h.type])}
+            for child in node.body:
+                visit(child, handled | caught)
+            for child in node.handlers + node.orelse + node.finalbody:
+                visit(child, handled)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, handled)
+
+    visit(tree, frozenset())
+    return sorted(problems)
+
+
+def test_every_raise_is_a_package_error():
+    allowed = {name for name, value in vars(errors).items()
+               if isinstance(value, type)
+               and issubclass(value, errors.DistGroverError)}
+    files = sorted((ROOT / "src" / "distgrover").rglob("*.py"))
+    assert files and "InvariantError" in allowed
+    problems = [f"{path.relative_to(ROOT)}:{line}: raise {name}"
+                for path in files
+                for line, name in _foreign_raises(ast.parse(path.read_text()),
+                                                  allowed)]
+    assert not problems, "raises outside DistGroverError:\n" + \
+        "\n".join(problems)
+
+
+def test_scan_flags_a_foreign_raise():
+    tree = ast.parse("def f(raw):\n"
+                     "    try:\n"
+                     "        if int(raw) < 1:\n"
+                     "            raise ValueError\n"
+                     "    except (TypeError, ValueError):\n"
+                     "        raise errors.UsageError(raw) from None\n"
+                     "    try:\n"
+                     "        def g():\n"
+                     "            raise ValueError('nested')\n"
+                     "    finally:\n"
+                     "        pass\n"
+                     "    if raw:\n"
+                     "        raise ValueError('monotone')\n"
+                     "    raise InvariantError('x')\n")
+    assert _foreign_raises(tree, {"UsageError", "InvariantError"}) == [
+        (9, "ValueError"), (13, "ValueError")]

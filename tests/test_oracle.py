@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from distgrover import (BooleanFunction, CapacityError, ParseError,
-                        QueryLedger, UsageError, apply_hadamard_all,
-                        apply_zero_reflection, init_basis, oracle_from_formula)
+from distgrover import (BooleanFunction, CapacityError, InvariantError,
+                        ParseError, QueryLedger, UsageError,
+                        apply_hadamard_all, apply_zero_reflection, init_basis,
+                        oracle_from_formula)
 from distgrover.cnf import CnfFormula
 from distgrover.statevector import StateVector
 
@@ -325,3 +326,13 @@ def test_ledger_totals_and_breakdown():
     assert a.quantum_queries == 5 and a.classical_queries == 1
     assert a.total == sum(a.breakdown.values()) == 6
     assert a.breakdown == {"oracle": 3, "counting": 2, "verify": 1}
+
+
+def test_ledger_refuses_a_negative_count():
+    ledger = QueryLedger()
+    with pytest.raises(InvariantError):
+        ledger.add_quantum(-1, "oracle")
+    with pytest.raises(InvariantError):
+        ledger.add_classical(-1)
+    assert ledger.snapshot() == {"quantum_queries": 0, "classical_queries": 0,
+                                 "total": 0, "breakdown": {}}
