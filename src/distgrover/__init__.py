@@ -12,7 +12,7 @@ from .errors import (CapacityError, DistGroverError, InvariantError,
                      ParseError, UsageError)
 from .estimation import (CountEstimate, QOperator, counting_grid_for,
                          est_amp_distribution, relaxed_error_bound, run_count)
-from .grover import (Evolution, GroverOutcome, apply_grover_iterate,
+from .grover import (Evolution, GroverOutcome, Plane, apply_grover_iterate,
                      grover_iterations, run_grover, success_probability)
 from .ledger import QueryLedger
 from .oracle import BooleanFunction

@@ -57,7 +57,6 @@ def _write(path, text: str, mode: str) -> None:
 
 def cmd_grover(args, f: BooleanFunction) -> dict:
     n = f.arity
-    # refuses a bad a before the Evolution allocates its state
     iterations = grover.grover_iterations(n, args.a)
     ledger = QueryLedger()
     outcome = grover.run_grover(grover.Evolution(f), args.a, args.seed, ledger)

@@ -11,13 +11,12 @@ did: its estimate, its plan, its attempts and its ledger. A run's
 `DistOutcome` holds the solution and the records, and reads its status and
 totals from them. Both modes plan each machine with `_plan` and sweep with
 `_sweep`; serial sweeps only the first machine with a non-empty plan,
-parallel sweeps all. A plan is the window reversed, counts largest first,
-so its shots ask for non-decreasing iterate counts, and each swept machine
-keeps one `grover.Evolution` for its whole sweep: it simulates only its
-largest shot's iterates, while its ledger is charged every shot's. Between
-shots an `Evolution` holds only its state, 8 * 2^(n-k) bytes, so a
-parallel sweep holds 2^k states, and each shot adds one state-sized scratch
-or distribution while it runs.
+parallel sweeps all. A plan is the window reversed, counts largest first.
+Every sweep shot runs on a `grover.Plane`: it draws from the exact
+two-level distribution the machine's dense state would reach, which
+`tests/reference.py`'s dense shot checks, while its ledger is charged the
+shot's k_b oracle queries. A sweep therefore holds no amplitude array:
+each shot adds a few float arrays the size of its machine's marked set.
 
 Seeding: machine i counts with derive(derive(seed, i), 0), and its sweep
 attempt j draws with derive(derive(derive(seed, i), 1), j). So for a >= 2
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .estimation import counting_grid_for, run_count
-from .grover import Evolution, grover_iterations, run_grover
+from .grover import Plane, grover_iterations, run_grover
 from .ledger import QueryLedger
 from .oracle import BooleanFunction
 from .seeding import derive
@@ -157,8 +156,6 @@ def _sweep(subfunctions: list[BooleanFunction], k: int,
     i with a j-th count b in its plan runs one verified Grover shot for b,
     seeded derive(derive(derive(seed, i), 1), j). The first step with a
     verified solution ends the sweep, the lowest machine index winning."""
-    evolutions = {m.index: Evolution(subfunctions[m.index])
-                  for m in swept if m.plan}
     for step in range(max((len(m.plan) for m in swept), default=0)):
         finishers: list[tuple[int, int]] = []
         for m in swept:
@@ -166,7 +163,8 @@ def _sweep(subfunctions: list[BooleanFunction], k: int,
                 continue
             b = m.plan[step]
             shot_seed = derive(derive(derive(seed, m.index), 1), step)
-            outcome = run_grover(evolutions[m.index], b, shot_seed, m.ledger)
+            outcome = run_grover(Plane(subfunctions[m.index]), b, shot_seed,
+                                 m.ledger)
             m.attempts.append((b, outcome.measured_x, outcome.is_solution))
             if outcome.is_solution:
                 finishers.append((m.index, outcome.measured_x))

@@ -5,23 +5,24 @@ G = -H Z_0 H Z_f. The leading global phase changes no probability, but it
 is applied literally so that G equals estimation's Q = A U0_perp A^{-1} U_f
 amplitude for amplitude, as tests/test_estimation.py checks.
 
-An `Evolution` holds one function's register from the uniform start and
-advances it to the iterate count a shot asks for; asking for fewer is a
-UsageError. A shot, `run_grover`, takes an `Evolution` and searches its
-function: a lone shot passes a fresh `Evolution(f)`, and a distributed
-sweep passes the one its machine keeps. Shots that ask for non-decreasing
-counts, as a sweep's do, therefore simulate each iterate once, while
-`run_grover` still charges every shot all k of its oracle queries. The
-state after k iterates is the same array whichever way it was reached, so
-every draw samples the same distribution as a fresh run.
+A shot, `run_grover`, takes f's register in one of two forms, and the form
+is the engine. An `Evolution` simulates the register densely: the uniform
+start, k iterates on all 2^n amplitudes and a measurement of them. A
+`Plane` draws from the closed form the dense state reaches. Under a uniform
+start and a ±1 oracle the state stays in the plane of the good and bad
+states, rotated by 2θ per iterate with sin²θ = t/2^n (Brassard, Høyer,
+Mosca and Tapp, quant-ph/0005055), so after k iterates each of the t
+marked indices has probability sin²((2k+1)θ)/t and each other index
+cos²((2k+1)θ)/(2^n - t). The `grover` subcommand runs the dense engine, the
+reference; a distributed sweep runs the plane. Either way `run_grover`
+charges the shot's k oracle queries and one classical verification.
 
-Memory, per amplitude of the 2^n: an `Evolution` holds its state (8 bytes)
-and nothing else between shots. A shot adds either an iterate's Hadamard
-scratch (8) or its distribution (8), never both, and the distribution is
-dropped once the draw is made. The phase oracle negates f's marked
-amplitudes in place and holds nothing of the state's size. A shot therefore
-peaks near 2 times its state, plus f's marked set (8 bytes per marked
-input).
+Memory, per amplitude of the 2^n: a dense shot holds its state (8 bytes)
+and either an iterate's Hadamard scratch (8) or its distribution (8),
+never both, so it peaks near 2 times its state; the phase oracle negates
+f's marked amplitudes in place. A plane shot holds nothing per amplitude,
+only a few float arrays the size of f's marked set. Both add f's marked
+set itself (8 bytes per marked input).
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ledger import QueryLedger
 from .oracle import BooleanFunction
+from .seeding import unit_double
 from .statevector import (MeasurementDistribution, StateVector,
                           apply_hadamard_all, apply_zero_reflection,
                           init_basis, measurement_distribution, sample)
@@ -52,11 +56,16 @@ def grover_iterations(n: int, a: int) -> int:
     return int(math.floor(math.pi / 4.0 * math.sqrt((1 << n) / a)))
 
 
+def _rotation(n: int, count: int, iterations: int) -> float:
+    """(2k+1) * arcsin(sqrt(count/2^n)) for k = `iterations`: the angle from
+    the bad axis after k iterates when `count` of the 2^n indices are
+    good."""
+    return (2 * iterations + 1) * math.asin(math.sqrt(count / (1 << n)))
+
+
 def success_probability(n: int, a: int) -> float:
     """sin^2((2k+1) * arcsin(sqrt(a/2^n))) with k = grover_iterations(n, a)."""
-    k = grover_iterations(n, a)
-    theta = math.asin(math.sqrt(a / (1 << n)))
-    return math.sin((2 * k + 1) * theta) ** 2
+    return math.sin(_rotation(n, a, grover_iterations(n, a))) ** 2
 
 
 def apply_grover_iterate(f: BooleanFunction,
@@ -75,41 +84,71 @@ def apply_grover_iterate(f: BooleanFunction,
 
 
 class Evolution:
-    """f's register from the uniform start, advanced on request.
-
-    It holds f, one real state (8 bytes per amplitude) and the count of
-    iterates applied to it. `distribution(k)` applies only the iterates
-    beyond that count and measures the state afresh; a k below it, negative
-    k included, raises UsageError. Its f is the function every
-    `run_grover` shot on it searches and verifies against.
-    """
+    """f's register on the dense engine, the reference every faster shot
+    is checked against. Each shot builds its own uniform start (8 bytes per
+    amplitude), so nothing is kept between shots."""
 
     def __init__(self, f: BooleanFunction):
         self.f = f
-        self.state = apply_hadamard_all(init_basis(f.arity, 0),
-                                        range(0, f.arity))
-        self.iterations = 0
 
     def distribution(self, iterations: int) -> MeasurementDistribution:
-        """Exact measurement distribution after `iterations` iterates."""
-        if iterations < self.iterations:
-            raise UsageError(f"iteration count {iterations} is below the "
-                             f"{self.iterations} already applied")
-        for _ in range(iterations - self.iterations):
-            apply_grover_iterate(self.f, self.state)
-        self.iterations = iterations
-        return measurement_distribution(self.state, range(0, self.f.arity))
+        """Exact measurement distribution after `iterations` iterates on the
+        uniform start."""
+        register = range(0, self.f.arity)
+        state = apply_hadamard_all(init_basis(self.f.arity, 0), register)
+        for _ in range(iterations):
+            apply_grover_iterate(self.f, state)
+        return measurement_distribution(state, register)
+
+    def draw(self, iterations: int, seed: int) -> int:
+        return sample(self.distribution(iterations), seed)
 
 
-def run_grover(evolution: Evolution, assumed_a: int, seed: int,
+class Plane:
+    """f's register in the plane of its good and bad states: after k
+    iterates every marked index has one probability and every other index
+    another, so a shot needs no amplitude array."""
+
+    def __init__(self, f: BooleanFunction):
+        self.f = f
+
+    def levels(self, iterations: int) -> tuple[float, float]:
+        """(probability of each marked index, of each unmarked index) after
+        `iterations` iterates. A level with no index is 0 or a rounding
+        residue, and no draw lands on it."""
+        n, t = self.f.arity, self.f.solution_count()
+        angle = _rotation(n, t, iterations)
+        return (math.sin(angle) ** 2 / max(t, 1),
+                math.cos(angle) ** 2 / max((1 << n) - t, 1))
+
+    def draw(self, iterations: int, seed: int) -> int:
+        """The draw of `statevector.sample` on the two-level distribution:
+        the first index whose cumulative probability exceeds u, the last
+        index if none does. One search over the marked set finds the marked
+        indices whose cumulative mass stays at or below u; the draw is the
+        next marked index or, when u ends inside the run of unmarked
+        indices before it, the unmarked index where it ends."""
+        good, bad = self.levels(iterations)
+        marked, t = self.f.marked, self.f.solution_count()
+        u = unit_double(seed)
+        before = np.arange(t)
+        # cumulative mass up to and including each marked index
+        ends = good * (before + 1) + bad * (marked - before)
+        i = int(ends.searchsorted(u, side="right"))
+        start, mass = (int(marked[i - 1]) + 1, ends[i - 1]) if i else (0, 0.0)
+        stop = int(marked[i]) if i < t else (1 << self.f.arity) - 1
+        return min(start + int((u - mass) // bad), stop)
+
+
+def run_grover(register: Evolution | Plane, assumed_a: int, seed: int,
                ledger: QueryLedger) -> GroverOutcome:
-    """Full search run on `evolution.f`: uniform start, k iterates, one
-    sampled measurement, one classical verification. The k iterates are
-    charged as k oracle queries even when `evolution`, kept across shots,
-    already holds some of them; a fresh `Evolution(f)` runs them all."""
-    f = evolution.f
+    """Full search run on `register.f`: uniform start, k iterates, one
+    sampled measurement, one classical verification, on the engine
+    `register` is (see the module docstring). The k iterates are charged as
+    k oracle queries."""
+    f = register.f
     iterations = grover_iterations(f.arity, assumed_a)
-    measured = sample(evolution.distribution(iterations), seed)
+    measured = register.draw(iterations, seed)
     if iterations:
         ledger.add_quantum(iterations, "oracle")
     is_solution = f.evaluate(measured, ledger)

@@ -51,13 +51,13 @@ def _digits(text: str) -> np.ndarray:
 class BooleanFunction:
     """n-variable Boolean function with exact query accounting hooks:
     its arity and its marked set, the ascending indices x with f(x) = 1 as
-    an integer array."""
+    an integer array, `marked`, which nothing may change."""
 
     def __init__(self, arity: int, marked: np.ndarray):
         if arity < 1:
             raise UsageError("arity must be >= 1")
         self.arity = arity
-        self._marked = marked
+        self.marked = marked
 
     # -- construction -----------------------------------------------------
 
@@ -132,18 +132,18 @@ class BooleanFunction:
                              f"{self.arity}")
         if ledger is not None:
             ledger.add_classical(1)
-        i = int(self._marked.searchsorted(index))
-        return int(i < self._marked.shape[0] and self._marked[i] == index)
+        i = int(self.marked.searchsorted(index))
+        return int(i < self.marked.shape[0] and self.marked[i] == index)
 
     def truth_values(self) -> np.ndarray:
         """All 2^n values as a fresh uint8 array; a test-harness oracle,
         never charged as queries."""
         table = np.zeros(1 << self.arity, np.uint8)
-        table[self._marked] = 1
+        table[self.marked] = 1
         return table
 
     def solution_count(self) -> int:
-        return len(self._marked)
+        return len(self.marked)
 
     def phase_signs(self) -> np.ndarray:
         """(-1)^f(x) over all basis indices as a fresh float64 array."""
@@ -161,7 +161,7 @@ class BooleanFunction:
             raise UsageError(f"the phase oracle of arity {n} acts on "
                              f"range(0, {n}) of a {n}-qubit state, not "
                              f"{register} of {state.qubit_count} qubits")
-        return apply_diagonal_phase(state, self._marked)
+        return apply_diagonal_phase(state, self.marked)
 
     # -- decomposition ------------------------------------------------------
 
@@ -175,6 +175,6 @@ class BooleanFunction:
         n = self.arity
         if not 1 <= k < n:
             raise UsageError(f"suffix length {k} must be in [1, {n - 1}]")
-        marked = self._marked
+        marked = self.marked
         return BooleanFunction(
             n - k, marked[(marked & ((1 << k) - 1)) == int(suffix, 2)] >> k)

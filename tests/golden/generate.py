@@ -15,7 +15,9 @@ the stderr text and, for `compile`, the IR file written.
 Covered: table inputs at n = 1..10 with t in {0, 1, 2, N/3, N - 1, N};
 grover with a = 1, a = t and a above t; count on the default grid and on
 grids 2 and 4; dist-serial and dist-parallel at k = 1, k = n/2 and
-k = n - 1, so odd n and the a = 1 fast path occur; planted 3-CNFs
+k = n - 1, so odd n and the a = 1 fast path occur; dist-serial and
+dist-parallel on wider tables, n = 14 and 16 with t in {1, 3, 8}, at k = 2
+and 4 with a = t, so swept machines search 10 to 14 qubits; planted 3-CNFs
 run through the table and the compiled oracle and through `compile`; a
 dropped tautology, the empty clause and the empty formula; and runs that
 exit 1, 2 and 3.
@@ -81,6 +83,9 @@ def _planted_cnf(n: int, m: int, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# (n, t) of the wider tables that only the dist-* cases read
+WIDE = [(n, t) for n in (14, 16) for t in (1, 3, 8)]
+
 PLANTED = [(n, m, seed) for n in (3, 5, 6, 7, 8) for m, seed in
            ((2 * n, n), (4 * n, 100 + n))]
 
@@ -104,6 +109,8 @@ def write_inputs(directory: Path) -> None:
     for n in range(1, MAX_N + 1):
         for t in _counts(n):
             (directory / f"n{n}_t{t}.table").write_text(_table_text(n, t))
+    for n, t in WIDE:
+        (directory / f"n{n}_t{t}.table").write_text(_table_text(n, t))
     for n, m, seed in PLANTED:
         (directory / f"planted_{n}_{m}.cnf").write_text(
             _planted_cnf(n, m, seed))
@@ -148,6 +155,11 @@ def cases():
     for n in range(1, MAX_N + 1):
         for t in _counts(n):
             yield from _table_cases(n, t)
+    for n, t in WIDE:
+        for k in (2, 4):
+            for mode in ("serial", "parallel"):
+                yield [f"dist-{mode}", "--input", f"n{n}_t{t}.table",
+                       "--k", str(k), "--a", str(t), "--seed", str(n + t)]
     for n, m, _ in PLANTED:
         yield from _cnf_cases(f"planted_{n}_{m}.cnf", n)
     for name, n in (("tautology.cnf", 4), ("empty_clause.cnf", 3),

@@ -6,11 +6,11 @@ that `distgrover.statevector.apply_hadamard_all` replaced with ±1 block
 products, one matrix product per group of up to five qubits; the block
 kernel is checked against it.
 
-`reference_run_grover` is a Grover shot that builds its own state and
-charges one query per oracle call: the shot a distributed sweep ran before
-each swept machine kept one `grover.Evolution` for all its shots. It takes
-f itself, where `grover.run_grover` takes an `Evolution` and searches its
-f.
+`reference_run_grover` is a Grover shot that builds its own dense state
+and charges one query per oracle call. A distributed sweep's shots draw
+from the closed-form two-level distribution (`grover.Plane`); the sweep is
+checked against the same sweep run with this shot. It takes f itself,
+where `grover.run_grover` takes f's register, an `Evolution` or a `Plane`.
 
 `distgrover.estimation` runs phase estimation on the reading register
 tensored with the 2-D plane of the normalised good and bad states. This

@@ -21,7 +21,7 @@ from distgrover.distributed import statement_form_bound
 from distgrover.errors import UsageError
 from distgrover.grover import grover_iterations
 
-from conftest import marked_function
+from conftest import first_k_marked, marked_function
 from reference import reference_run_grover
 
 
@@ -258,12 +258,12 @@ def _record(out):
              for m in out.machines])
 
 
-def test_each_swept_machine_simulates_its_largest_shot_once(rng,
-                                                             monkeypatch):
-    # the sweep's iterates number the sum over swept machines of the
-    # largest k_b each ran, and every machine's counting result, attempts,
-    # ledger and the outcome equal a sweep that builds a fresh state for
-    # every shot
+def test_sweep_runs_no_iterate_and_matches_the_dense_reference(rng,
+                                                               monkeypatch):
+    # every sweep shot draws from its machine's two-level distribution, so
+    # a sweep applies no Grover iterate; every machine's counting result,
+    # attempts, ledger and the outcome equal a sweep whose every shot builds
+    # and measures a dense state
     iterates = []
 
     def counted_iterate(f, state):
@@ -275,34 +275,34 @@ def test_each_swept_machine_simulates_its_largest_shot_once(rng,
     reached_zero = 0
     for f, k, a, seed in _random_instances(rng, 40):
         for runner in (run_serial, run_parallel):
-            del iterates[:]
             out = runner(f, k, a, seed)
-            k_bs = [[grover_iterations(f.arity - k, b) for b, _, _ in
-                     m.attempts] for m in out.machines]
-            assert len(iterates) == sum(max(kb, default=0) for kb in k_bs)
-            reached_zero += sum(kb.count(0) for kb in k_bs)
+            assert not iterates
+            reached_zero += sum(grover_iterations(f.arity - k, b) == 0
+                                for m in out.machines
+                                for b, _, _ in m.attempts)
             with monkeypatch.context() as m:
                 m.setattr(distributed, "run_grover",
-                          lambda evolution, b, s, ledger:
-                          reference_run_grover(evolution.f, b, s, ledger))
+                          lambda register, b, s, ledger:
+                          reference_run_grover(register.f, b, s, ledger))
                 reference = runner(f, k, a, seed)
             assert _record(out) == _record(reference)
     assert reached_zero
 
 
-def test_parallel_sweep_holds_one_state_per_machine():
-    # each swept machine's Evolution holds its state (8 bytes per amplitude
-    # of its 2^(n-k)) and no distribution between shots, so the sweep peaks
-    # at 2^k states plus one shot's scratch or distribution; one state more
-    # covers the subfunctions, counting and small objects
-    n, k = 18, 2
-    f = marked_function(n, range(1 << k))     # one solution per machine
+def test_parallel_sweep_peaks_below_one_machine_state():
+    # a shot holds nothing per amplitude, so a parallel run that sweeps 8
+    # machines peaks below one machine's state, 8 bytes per amplitude of its
+    # 2^(n-k); the function is built, and one run imports numpy.fft and
+    # builds its plan for the counting grid, before tracing starts
+    n, k, a = 20, 5, 8
+    f = first_k_marked(n, a)          # one solution on each of machines 0-7
+    run_parallel(f, k, a, 1)
     tracemalloc.start()
     try:
-        out = run_parallel(f, k, 4, 1)
+        out = run_parallel(f, k, a, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(m.attempts for m in out.machines)
+    assert [m.index for m in out.machines if m.attempts] == list(range(a))
     assert out.status == "found"
-    assert peak <= ((1 << k) + 2) * (8 << (n - k))
+    assert peak < 8 << (n - k)

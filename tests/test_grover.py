@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import distgrover
-from distgrover import (Evolution, QueryLedger, StateVector, UsageError,
-                        apply_grover_iterate, apply_hadamard_all, grover,
-                        grover_iterations, init_basis,
-                        measurement_distribution, run_grover,
-                        success_probability)
+from distgrover import (Evolution, Plane, QueryLedger, StateVector,
+                        UsageError, apply_grover_iterate, apply_hadamard_all,
+                        grover, grover_iterations, init_basis,
+                        measurement_distribution, run_grover, sample,
+                        statevector, success_probability)
 
 from conftest import first_k_marked, marked_function
 from reference import reference_hadamard_all
@@ -144,80 +144,89 @@ def test_run_grover_query_accounting():
 
 
 def test_run_grover_charges_each_shot_all_its_iterates():
-    # a shot's k iterates are charged even when its evolution holds them,
-    # and a shot with k = 0, on an evolution of its own, adds no "oracle"
-    # entry
+    # on either engine a shot charges its k iterates as k oracle queries and
+    # its verification as one classical query, and a shot with k = 0 adds
+    # no "oracle" entry
     f = first_k_marked(6, 3)
-    evolution = Evolution(f)
-    for a, k, held in ((4, 3, evolution), (2, 4, evolution),
-                       (2, 4, evolution), (64, 0, Evolution(f))):
-        ledger = QueryLedger()
-        fresh = QueryLedger()
-        assert run_grover(held, a, 7, ledger) == \
-            run_grover(Evolution(f), a, 7, fresh)
-        assert ledger.snapshot() == fresh.snapshot()
-        assert ledger.breakdown == ({"oracle": k, "verify": 1} if k
-                                    else {"verify": 1})
+    for a, k in ((4, 3), (2, 4), (64, 0)):
+        for register in (Evolution(f), Plane(f)):
+            ledger = QueryLedger()
+            run_grover(register, a, 7, ledger)
+            assert ledger.breakdown == ({"oracle": k, "verify": 1} if k
+                                        else {"verify": 1})
 
 
-def test_evolution_matches_a_fresh_run_for_any_count_sequence(monkeypatch):
-    # counts that rise and repeat: each distribution is the fresh run's, bit
-    # for bit, and only the iterates beyond the current count are applied;
-    # a count that falls, negative ones included, is refused and changes
-    # nothing
-    n = 6
-    f = marked_function(n, [5, 40, 41])
-    applied = []
+def _two_level_cases():
+    # (f, k): s = 1..10 qubits, t in {0, 1, 2, 3, N/3, N - 1, N} inputs
+    # marked at random, k the iterates of every valid b in {1, 2, t, t + 3}
+    rng = np.random.default_rng(37)
+    for s in range(1, 11):
+        size = 1 << s
+        for t in sorted({0, 1, 2, 3, size // 3, size - 1, size}
+                        & set(range(size + 1))):
+            f = marked_function(s, rng.choice(size, size=t, replace=False))
+            for b in sorted({1, 2, t, t + 3} & set(range(1, size + 1))):
+                yield f, grover_iterations(s, b)
 
-    def counted_iterate(g, state):
-        applied.append(g)
-        return apply_grover_iterate(g, state)
 
-    monkeypatch.setattr(grover, "apply_grover_iterate", counted_iterate)
-    evolution = Evolution(f)
-    for k in (0, 0, 2, 3, 3, 7, 8, 8, 11):
-        fresh = apply_hadamard_all(init_basis(n, 0), range(n))
-        for _ in range(k):
-            apply_grover_iterate(f, fresh)
-        want = measurement_distribution(fresh, range(n)).probabilities
-        assert np.array_equal(evolution.distribution(k).probabilities, want)
-        assert evolution.iterations == k
-    assert len(applied) == 11
-    held = evolution.state.amps.copy()
-    for k in (10, 0, -1):
-        with pytest.raises(UsageError):
-            evolution.distribution(k)
-    assert evolution.iterations == 11 and len(applied) == 11
-    assert np.array_equal(evolution.state.amps, held)
+def test_plane_levels_match_the_dense_distribution():
+    for f, k in _two_level_cases():
+        good, bad = Plane(f).levels(k)
+        levels = np.where(f.truth_values() == 1, good, bad)
+        want = Evolution(f).distribution(k).probabilities
+        assert np.abs(levels - want).max() <= 1e-12
+
+
+def test_plane_draws_equal_the_dense_sample(monkeypatch):
+    # 60 seeds on each of the 200 cases; then the largest u, 1 - 2^-53,
+    # where some dense running sums end at or below u, so those draws take
+    # the last-index rule
+    cases = list(_two_level_cases())
+    assert len(cases) == 200
+    for f, k in cases:
+        dense = Evolution(f).distribution(k)
+        for seed in range(60):
+            assert Plane(f).draw(k, seed) == sample(dense, seed)
+    u = 1.0 - 2.0 ** -53
+    monkeypatch.setattr(grover, "unit_double", lambda seed: u)
+    monkeypatch.setattr(statevector, "unit_double", lambda seed: u)
+    last_index_rule = 0
+    for f, k in cases:
+        dense = Evolution(f).distribution(k)
+        assert Plane(f).draw(k, 0) == sample(dense, 0)
+        last_index_rule += np.cumsum(dense.probabilities)[-1] <= u
+    assert last_index_rule
 
 
 def _complex_copy(state):
     return StateVector(state.amps.astype(np.complex128))
 
 
-def test_real_start_matches_a_complex_copy_to_rounding():
-    # every operator of a Grover shot is real, so an Evolution's state is
-    # float64 from start to end (8 bytes per amplitude); its distribution
-    # matches, to rounding, that of a complex copy of its start driven
-    # through Evolution or through the bare iterate
+def test_real_start_matches_a_complex_copy_to_rounding(monkeypatch):
+    # every operator of a Grover shot is real, so the dense shot measures a
+    # float64 state (8 bytes per amplitude); its distribution matches, to
+    # rounding, that of a complex copy of its start driven through the bare
+    # iterate
+    measured = []
+
+    def measure(state, register):
+        measured.append(state.amps.dtype)
+        return measurement_distribution(state, register)
+
+    monkeypatch.setattr(grover, "measurement_distribution", measure)
     rng = np.random.default_rng(31)
     for n in range(1, 15):
         register = range(n)
         for a in sorted({min(a, 1 << n) for a in (1, 2, 3, 5)}):
             f = marked_function(n, rng.choice(1 << n, size=a, replace=False))
             k = grover_iterations(n, a)
-            real = Evolution(f)
-            assert real.state.amps.dtype == np.float64
-            twin = Evolution(f)
-            twin.state = _complex_copy(real.state)
-            copy = _complex_copy(real.state)
+            want = Evolution(f).distribution(k).probabilities
+            assert measured.pop() == np.float64
+            copy = _complex_copy(apply_hadamard_all(init_basis(n, 0),
+                                                    register))
             for _ in range(k):
                 apply_grover_iterate(f, copy)
-            want = real.distribution(k).probabilities
-            assert real.state.amps.dtype == np.float64
-            assert twin.state.amps.dtype == copy.amps.dtype == np.complex128
-            assert np.abs(twin.distribution(k).probabilities
-                          - want).max() <= 1e-15
+            assert copy.amps.dtype == np.complex128
             assert np.abs(measurement_distribution(copy, register)
                           .probabilities - want).max() <= 1e-15
 
