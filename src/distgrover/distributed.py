@@ -6,13 +6,14 @@ truth-table slice table[i :: 2^k]. Each machine first runs
 quantum counting to build a candidate window for its solution count, then
 sweeps the window with Grover runs, verifying every measurement classically.
 
-Each machine is one `MachineRecord`, the one owner of what it planned and
-did: its estimate, its plan, its attempts and its ledger. A run's
-`DistOutcome` holds the solution and the records, and reads its status and
-totals from them. Both modes plan each machine with `_plan` and sweep with
-`_sweep`; serial sweeps only the first machine with a non-empty plan,
-parallel sweeps all. A plan is the window reversed, counts largest first.
-Every sweep shot runs on a `grover.Plane`: it draws from the exact
+Each machine is one `MachineRecord`, the one owner of what it searched
+and what it planned and did: its subfunction, its estimate, its plan, its
+attempts and its ledger. A run's `DistOutcome` holds the solution and the
+records, and reads its status and totals from them. Both modes plan each
+machine with `_plan` and sweep with `_sweep`; serial sweeps only the first
+machine with a non-empty plan, parallel sweeps all. A plan is the window
+reversed, counts largest first. Every sweep shot runs on a
+`grover.Plane` of its record's subfunction: it draws from the exact
 two-level distribution the machine's dense state would reach, which
 `tests/reference.py`'s dense shot checks, while its ledger is charged the
 shot's k_b oracle queries. A sweep therefore holds no amplitude array:
@@ -40,10 +41,11 @@ from .seeding import derive
 
 @dataclass(slots=True)
 class MachineRecord:
-    """One machine's run: its counting estimate (None when counting is
-    skipped), its plan (the counts it sweeps, largest first), its attempts
-    (b, measured x, verified) and its ledger."""
+    """One machine's run: its subfunction, its counting estimate (None when
+    counting is skipped), its plan (the counts it sweeps, largest first),
+    its attempts (b, measured x, verified) and its ledger."""
     index: int
+    f: BooleanFunction
     estimate: int | None = None
     plan: range | tuple[int, ...] = ()
     attempts: list[tuple[int, int, int]] = field(default_factory=list)
@@ -146,11 +148,10 @@ def _plan(f_i: BooleanFunction, a: int, seed: int,
     ledger = QueryLedger()
     estimate, window = build_candidate_set(
         f_i, a, derive(derive(seed, index), 0), ledger)
-    return MachineRecord(index, estimate, window[::-1], ledger=ledger)
+    return MachineRecord(index, f_i, estimate, window[::-1], ledger=ledger)
 
 
-def _sweep(subfunctions: list[BooleanFunction], k: int,
-           swept: list[MachineRecord], seed: int,
+def _sweep(k: int, swept: list[MachineRecord], seed: int,
            machines: list[MachineRecord]) -> DistOutcome:
     """Step-locked sweep of the `swept` records: at step j, every machine
     i with a j-th count b in its plan runs one verified Grover shot for b,
@@ -163,8 +164,7 @@ def _sweep(subfunctions: list[BooleanFunction], k: int,
                 continue
             b = m.plan[step]
             shot_seed = derive(derive(derive(seed, m.index), 1), step)
-            outcome = run_grover(Plane(subfunctions[m.index]), b, shot_seed,
-                                 m.ledger)
+            outcome = run_grover(Plane(m.f), b, shot_seed, m.ledger)
             m.attempts.append((b, outcome.measured_x, outcome.is_solution))
             if outcome.is_solution:
                 finishers.append((m.index, outcome.measured_x))
@@ -177,12 +177,11 @@ def _sweep(subfunctions: list[BooleanFunction], k: int,
 def run_serial(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
     """Visit machines in ascending order; sweep the first machine whose
     plan is non-empty and stop there, found or not."""
-    subfunctions = _split(f, k, a)
     machines: list[MachineRecord] = []
-    for i, f_i in enumerate(subfunctions):
+    for i, f_i in enumerate(_split(f, k, a)):
         machines.append(_plan(f_i, a, seed, i))
         if machines[i].plan:
-            return _sweep(subfunctions, k, [machines[i]], seed, machines)
+            return _sweep(k, [machines[i]], seed, machines)
     return DistOutcome(None, None, machines)
 
 
@@ -191,11 +190,10 @@ def run_parallel(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
     solution wins, lowest machine index breaking ties within a step. With a
     known unique solution (a = 1) the counting stage is skipped: every
     machine's estimate stays None and its plan is the one count b = 1."""
-    subfunctions = _split(f, k, a)
-    machines = [MachineRecord(i, plan=(1,)) if a == 1
+    machines = [MachineRecord(i, f_i, plan=(1,)) if a == 1
                 else _plan(f_i, a, seed, i)
-                for i, f_i in enumerate(subfunctions)]
-    return _sweep(subfunctions, k, machines, seed, machines)
+                for i, f_i in enumerate(_split(f, k, a))]
+    return _sweep(k, machines, seed, machines)
 
 
 def worst_case_query_bound(n: int, k: int, a: int) -> tuple[int, int]:

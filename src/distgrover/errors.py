@@ -18,7 +18,8 @@ class UsageError(DistGroverError):
 
 
 class ParseError(DistGroverError):
-    """Malformed input file; carries a 1-based line number when known."""
+    """Malformed input file; its message starts with `line N: ` when the
+    1-based line is known."""
 
     exit_code = 2
 
@@ -26,7 +27,6 @@ class ParseError(DistGroverError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class CapacityError(DistGroverError):

@@ -115,11 +115,17 @@ class Plane:
     def levels(self, iterations: int) -> tuple[float, float]:
         """(probability of each marked index, of each unmarked index) after
         `iterations` iterates. A level with no index is 0 or a rounding
-        residue, and no draw lands on it."""
+        residue, and no draw lands on it. By Niven's theorem the rotation
+        (2k+1)θ is a multiple of π/2 for a 0 < t < 2^n only when t/2^n is
+        1/4 or 3/4 and 3 divides 2k+1; there one level is exactly 0, where
+        sin and cos would leave a residue."""
         n, t = self.f.arity, self.f.solution_count()
+        size = 1 << n
+        if 4 * t in (size, 3 * size) and (2 * iterations + 1) % 3 == 0:
+            return (1.0 / t, 0.0) if 4 * t == size else (0.0, 1.0 / (size - t))
         angle = _rotation(n, t, iterations)
         return (math.sin(angle) ** 2 / max(t, 1),
-                math.cos(angle) ** 2 / max((1 << n) - t, 1))
+                math.cos(angle) ** 2 / max(size - t, 1))
 
     def draw(self, iterations: int, seed: int) -> int:
         """The draw of `statevector.sample` on the two-level distribution:
@@ -127,7 +133,8 @@ class Plane:
         index if none does. One search over the marked set finds the marked
         indices whose cumulative mass stays at or below u; the draw is the
         next marked index or, when u ends inside the run of unmarked
-        indices before it, the unmarked index where it ends."""
+        indices before it, the unmarked index where it ends. An unmarked
+        level of 0 leaves the next marked index."""
         good, bad = self.levels(iterations)
         marked, t = self.f.marked, self.f.solution_count()
         u = unit_double(seed)
@@ -137,6 +144,8 @@ class Plane:
         i = int(ends.searchsorted(u, side="right"))
         start, mass = (int(marked[i - 1]) + 1, ends[i - 1]) if i else (0, 0.0)
         stop = int(marked[i]) if i < t else (1 << self.f.arity) - 1
+        if bad == 0.0:          # no unmarked index can take the draw
+            return stop
         return min(start + int((u - mass) // bad), stop)
 
 

@@ -10,10 +10,12 @@ allocates. Every other view of f derives from the set: `evaluate` is a
 binary search, `solution_count` its length, `truth_values` a fresh table
 built from it, and `restrict` one filter of it, whatever f came from. The
 phase oracle Z_f negates just the marked amplitudes, in place, and charges
-nothing itself: `grover.run_grover` charges a shot's k oracle queries,
-`estimation.run_count` a counting run's grid - 1, and `evaluate` one
-classical query per call given a ledger. A function holds 8 bytes per
-marked input and nothing of the state's size.
+nothing itself: `grover.run_grover` charges a shot's k oracle queries and
+`estimation.run_count` a counting run's grid - 1. Every classical
+evaluation of f is a charged query: `evaluate` takes a ledger and charges
+it one classical query per call. The uncharged views of f are the harness
+and simulator ones, `marked`, `solution_count()` and `truth_values()`. A
+function holds 8 bytes per marked input and nothing of the state's size.
 """
 
 from __future__ import annotations
@@ -119,10 +121,10 @@ class BooleanFunction:
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate(self, x, ledger: QueryLedger | None = None) -> int:
+    def evaluate(self, x, ledger: QueryLedger) -> int:
         """Classical f(x) at the basis index x, an integer of any type
-        (Python or NumPy; variable 1 is its most significant bit); charges
-        one classical query when a ledger is given."""
+        (Python or NumPy; variable 1 is its most significant bit), charged
+        to `ledger` as one classical query."""
         try:
             index = operator.index(x)
         except TypeError:
@@ -130,8 +132,7 @@ class BooleanFunction:
         if not 0 <= index < (1 << self.arity):
             raise UsageError(f"input {index} out of range for arity "
                              f"{self.arity}")
-        if ledger is not None:
-            ledger.add_classical(1)
+        ledger.add_classical(1)
         i = int(self.marked.searchsorted(index))
         return int(i < self.marked.shape[0] and self.marked[i] == index)
 

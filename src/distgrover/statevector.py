@@ -169,9 +169,8 @@ def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
     that ends the state, one right product. The products run on
     unnormalised sums, alternating between the state and one scratch array
     of its size and dtype. One scale, 2^(-w/2) for a w-qubit register,
-    normalises the result and is applied last: in place after an even
-    number of groups, and on the way back from the scratch after an odd
-    one.
+    normalises the result and is applied last, as the result is written
+    back into the state (in place after an even number of groups).
     """
     _check_register(state.qubit_count, register)
     width = len(register)
@@ -191,10 +190,7 @@ def apply_hadamard_all(state: StateVector, register: range) -> StateVector:
         src, dst = dst, src
         start += group
     scale = 0.5 ** (width // 2) * (_SQRT_HALF if width % 2 else 1.0)
-    if src is amps:
-        amps *= scale
-    else:
-        np.multiply(src, scale, out=amps)
+    np.multiply(src, scale, out=amps)
     return _check_norm(state)
 
 

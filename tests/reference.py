@@ -19,6 +19,13 @@ iterate Q = A U0_perp A^{-1} U_f applied to every target branch of a
 2^(m+n) state, the dense forward and inverse QFT on a contiguous register,
 and the exact reading-register distribution. Kept for n <= 10.
 
+`exact_levels` and `exact_draw` decide a Grover shot's draw at 50 digits
+with mpmath: the two probability levels a `grover.Plane` computes in
+float64, and the first index whose exact cumulative probability exceeds u,
+the rule `statevector.sample` applies to rounded running sums. A level
+below 1e-40 is read as 0, an exact rotation by a multiple of π/2, where
+float64 leaves a residue near 1e-33. Both engines are checked against it.
+
 `reference_truth_values` evaluates a CNF formula one assignment and one
 literal at a time, the check on `CnfFormula.truth_values`'s mask tests.
 `step_oracle_circuit` carries one basis input through a compiled oracle
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from distgrover import BooleanFunction, CnfFormula, QueryLedger, UsageError
@@ -43,6 +51,8 @@ from distgrover.statevector import (MeasurementDistribution, StateVector,
 
 _SQRT_HALF = math.sqrt(0.5)
 _QFT_CACHE: dict[tuple[int, bool], np.ndarray] = {}
+_DIGITS = 50
+_ZERO_LEVEL = mpmath.mpf("1e-40")
 
 
 def _hadamard_layers(amps: np.ndarray, rows: int, qubits) -> None:
@@ -82,6 +92,52 @@ def reference_run_grover(f: BooleanFunction, assumed_a: int, seed: int,
         state.amps *= -1.0
     measured = sample(measurement_distribution(state, register), seed)
     return GroverOutcome(measured, f.evaluate(measured, ledger))
+
+
+def exact_levels(n: int, t: int, iterations: int) -> tuple:
+    """(probability of each marked index, of each unmarked index) after
+    `iterations` iterates on n qubits with t marked, as 50-digit mpmath
+    numbers: sin²((2k+1)θ)/t and cos²((2k+1)θ)/(2^n - t) with
+    sin²θ = t/2^n. A level below 1e-40, or one with no index, is 0."""
+    with mpmath.workdps(_DIGITS):
+        size = 1 << n
+        angle = (2 * iterations + 1) * mpmath.asin(mpmath.sqrt(
+            mpmath.mpf(t) / size))
+
+        def level(mass, count: int):
+            if count == 0 or mass / count < _ZERO_LEVEL:
+                return mpmath.mpf(0)
+            return mass / count
+
+        return (level(mpmath.sin(angle) ** 2, t),
+                level(mpmath.cos(angle) ** 2, size - t))
+
+
+def exact_draw(f: BooleanFunction, iterations: int, u: float) -> tuple:
+    """(draw, gap) of a shot on f after `iterations` iterates at the
+    uniform double u, at 50 digits: the first index whose exact cumulative
+    probability exceeds u (the last index if none does), and u's distance
+    from the nearest edge of the exact CDF, 0 or a cumulative
+    probability."""
+    marked = f.marked
+    with mpmath.workdps(_DIGITS):
+        good, bad = exact_levels(f.arity, f.solution_count(), iterations)
+
+        def cdf(j: int):
+            """Exact mass of the indices 0..j."""
+            count = int(marked.searchsorted(j, side="right"))
+            return good * count + bad * (j + 1 - count)
+
+        u = mpmath.mpf(u)
+        lo, hi = 0, (1 << f.arity) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cdf(mid) > u:
+                hi = mid
+            else:
+                lo = mid + 1
+        below = cdf(lo - 1) if lo else mpmath.mpf(0)
+        return lo, min(u - below, abs(cdf(lo) - u))
 
 
 class DenseQOperator:

@@ -297,9 +297,10 @@ def test_criterion_11_decomposition_conservation():
             for i, g in enumerate(subs):
                 ok &= np.array_equal(g.truth_values(), table[i::1 << k])
         # pointwise evaluate consistency on the full domain
+        ledger = QueryLedger()
         for k in (1, min(3, n - 1)):
             subs = decompose(f, k)
             for x in range(1 << n):
-                ok &= subs[x & ((1 << k) - 1)].evaluate(x >> k) == \
-                    f.evaluate(x)
+                ok &= subs[x & ((1 << k) - 1)].evaluate(x >> k, ledger) == \
+                    f.evaluate(x, ledger)
     _report(11, "decomposition-conservation", ok)

@@ -135,6 +135,15 @@ def test_dimacs_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_malformed_dimacs_header_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cnf"
+    for header, why in (("p cnf x 3", "malformed header 'p cnf x 3'"),
+                        ("p cnf 0 0", "variable count must be >= 1")):
+        bad.write_text(f"{header}\n")
+        assert main(["count", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: line 1: {why}\n"
+
+
 def test_table_arity_not_integer_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.table"
     bad.write_text("x3\n00100001\n")

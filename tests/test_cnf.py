@@ -423,7 +423,7 @@ def test_cnf_function_holds_its_marked_set_not_a_table(rng):
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert f.solution_count() >= 1 and f.evaluate(hidden) == 1
+        assert hidden in f.marked
         assert held <= (1 << n) // 8
 
 
@@ -490,5 +490,5 @@ def test_cnf_functions_peak_within_their_table_plus_two_mib(rng):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f.evaluate(hidden) == 1
+        assert hidden in f.marked
         assert peak <= (1 << n) + (2 << 20), (build.__name__, peak)

@@ -242,6 +242,13 @@ def test_counting_grid_for():
     assert counting_grid_for(6) == 8
     assert counting_grid_for(5) == 8
     assert counting_grid_for(1) == 2
+    with pytest.raises(UsageError, match="arity must be >= 1"):
+        counting_grid_for(0)
+
+
+def test_estimation_needs_a_reading_qubit():
+    with pytest.raises(UsageError, match="precision qubits m must be >= 1"):
+        est_amp_distribution(first_k_marked(3, 1), 0)
 
 
 def test_confidence_small_sweep():

@@ -4,8 +4,9 @@ function and method in src/distgrover/ is used outside the tests, every
 parameter of a function in src/distgrover/ is read, no function in
 src/distgrover/ stores into a module-level container, each of four
 concerns lives in the modules that own it, no module in
-src/distgrover/ names a complex dtype, none uses `assert`, and every
-`raise` there names a `DistGroverError` subclass.
+src/distgrover/ names a complex dtype, none uses `assert`, every
+`raise` there names a `DistGroverError` subclass, and every fact a class
+in src/ stores is read.
 
 Stdlib `ast` scans standing in for a linter's unused-import, dead-code and
 unused-argument rules. For imports, package `__init__.py` files are skipped
@@ -49,7 +50,11 @@ reaches the CLI as a Python traceback instead of an exit code and an
 `error:` line. A raise inside the body of a `try` in the same function whose
 handler names that type is exempt, as `check_capacity` turns its
 `ValueError` into a `UsageError`; a bare `raise` re-raises and is not
-checked.
+checked. No stored fact that nothing reads: every attribute a class in
+src/ stores on `self` in one of its methods, and every field a dataclass
+there declares, is read as `obj.name` by a module of src/ or perfbench/.
+As in the test-only-API scan, reads in the tests do not count, and the
+match is by bare name.
 """
 
 from __future__ import annotations
@@ -496,7 +501,9 @@ def test_scan_flags_an_assert():
     assert _asserts(tree) == [3]
 
 
-def _exception_name(expr: ast.expr) -> str | None:
+def _bare_name(expr: ast.expr) -> str | None:
+    """The name an expression calls or refers to: B for `a.B(...)`, `B()`,
+    `a.B` or `B`."""
     if isinstance(expr, ast.Call):
         expr = expr.func
     return expr.attr if isinstance(expr, ast.Attribute) else \
@@ -509,13 +516,13 @@ def _foreign_raises(tree: ast.Module,
 
     def visit(node: ast.AST, handled: frozenset) -> None:
         if isinstance(node, ast.Raise) and node.exc is not None:
-            name = _exception_name(node.exc)
+            name = _bare_name(node.exc)
             if name not in allowed and name not in handled:
                 problems.append((node.lineno, name))
         if isinstance(node, FUNCTIONS):
             handled = frozenset()
         if isinstance(node, (ast.Try, ast.TryStar)):
-            caught = {_exception_name(t) for h in node.handlers
+            caught = {_bare_name(t) for h in node.handlers
                       if h.type is not None
                       for t in (h.type.elts if isinstance(h.type, ast.Tuple)
                                 else [h.type])}
@@ -562,3 +569,64 @@ def test_scan_flags_a_foreign_raise():
                      "    raise InvariantError('x')\n")
     assert _foreign_raises(tree, {"UsageError", "InvariantError"}) == [
         (9, "ValueError"), (13, "ValueError")]
+
+
+def _stored_facts(tree: ast.Module):
+    """(line, name) of each attribute a class stores on `self` in one of its
+    methods, and of each field a dataclass declares."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any(_bare_name(d) == "dataclass" for d in cls.decorator_list):
+            yield from ((item.lineno, item.target.id) for item in cls.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name))
+        for method in cls.body:
+            if isinstance(method, FUNCTIONS):
+                yield from ((node.lineno, node.attr)
+                            for node in ast.walk(method)
+                            if isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and getattr(node.value, "id", None) == "self")
+
+
+def _unread_facts(defining: dict, using: dict) -> list[str]:
+    reads = {node.attr for tree in using.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    return [f"{path}:{line}: {name}"
+            for path, tree in defining.items()
+            for line, name in sorted(set(_stored_facts(tree)))
+            if name not in reads]
+
+
+def test_no_stored_fact_that_nothing_reads():
+    modules = {str(path.relative_to(ROOT)): ast.parse(path.read_text())
+               for folder in ("src", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    defining = {path: tree for path, tree in modules.items()
+                if path.startswith("src")}
+    assert defining and len(modules) > len(defining)
+    problems = _unread_facts(defining, modules)
+    assert not problems, "stored but never read outside the tests:\n" + \
+        "\n".join(problems)
+
+
+def test_scan_flags_a_stored_fact_that_nothing_reads():
+    defining = {
+        "a.py": ast.parse("@dataclass(frozen=True)\n"
+                          "class Box:\n"
+                          "    size: int\n"
+                          "    label: str = ''\n"
+                          "class Err(Exception):\n"
+                          "    code = 2\n"
+                          "    def __init__(self, line):\n"
+                          "        self.line = line\n"
+                          "        self.kept = line\n"
+                          "        other.extra = line\n"),
+    }
+    using = {"a.py": defining["a.py"],
+             "b.py": ast.parse("print(Box(1).size, err.kept)\n"
+                               "box.label = 'stored, not read'\n")}
+    assert _unread_facts(defining, using) == ["a.py:4: label",
+                                              "a.py:8: line"]

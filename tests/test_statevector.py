@@ -11,7 +11,7 @@ from distgrover import (CapacityError, InvariantError,
                         apply_hadamard_all, apply_zero_reflection, init_basis,
                         measurement_distribution, sample)
 from distgrover import statevector
-from distgrover.statevector import StateVector
+from distgrover.statevector import StateVector, check_capacity
 
 from conftest import marked_function
 from reference import reference_hadamard_all
@@ -46,6 +46,16 @@ def test_state_vector_reads_its_width_from_its_array():
                  np.zeros((2, 2))):
         with pytest.raises(UsageError):
             StateVector(amps)
+
+
+def test_capacity_and_register_checks_refuse_bad_sizes():
+    with pytest.raises(UsageError, match="qubit_count must be >= 1"):
+        check_capacity(0)
+    for register in (range(0, 0), range(0, 2, 2)):
+        with pytest.raises(UsageError, match="non-empty contiguous"):
+            apply_hadamard_all(init_basis(2, 0), register)
+    with pytest.raises(UsageError, match="out of bounds"):
+        apply_hadamard_all(init_basis(2, 0), range(1, 3))
 
 
 def test_capacity_env_override(monkeypatch):
