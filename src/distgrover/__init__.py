@@ -10,8 +10,9 @@ from .distributed import (DistOutcome, build_candidate_set, candidate_window,
                           worst_case_query_bound)
 from .errors import (CapacityError, DistGroverError, InvariantError,
                      ParseError, UsageError)
-from .estimation import (CountEstimate, QOperator, counting_grid_for,
-                         est_amp_distribution, relaxed_error_bound, run_count)
+from .estimation import (CountEstimate, QOperator, count_distribution,
+                         counting_grid_for, est_amp_distribution,
+                         relaxed_error_bound, run_count)
 from .grover import (Evolution, GroverOutcome, Plane, apply_grover_iterate,
                      grover_iterations, run_grover, success_probability)
 from .ledger import QueryLedger

@@ -157,14 +157,15 @@ def _sweep(k: int, swept: list[MachineRecord], seed: int,
     i with a j-th count b in its plan runs one verified Grover shot for b,
     seeded derive(derive(derive(seed, i), 1), j). The first step with a
     verified solution ends the sweep, the lowest machine index winning."""
+    sweep_seeds = [derive(derive(seed, m.index), 1) for m in swept]
     for step in range(max((len(m.plan) for m in swept), default=0)):
         finishers: list[tuple[int, int]] = []
-        for m in swept:
+        for m, sweep_seed in zip(swept, sweep_seeds):
             if step >= len(m.plan):
                 continue
             b = m.plan[step]
-            shot_seed = derive(derive(derive(seed, m.index), 1), step)
-            outcome = run_grover(Plane(m.f), b, shot_seed, m.ledger)
+            outcome = run_grover(Plane(m.f), b, derive(sweep_seed, step),
+                                 m.ledger)
             m.attempts.append((b, outcome.measured_x, outcome.is_solution))
             if outcome.is_solution:
                 finishers.append((m.index, outcome.measured_x))

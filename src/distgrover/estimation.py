@@ -6,17 +6,23 @@ U0_perp = 2|0^n><0^n| - I, driven by the first stage of phase estimation:
 QFT on an m-qubit reading register, the controlled powers Lambda_{2^m}(Q),
 then the inverse QFT. Under the uniform start, Q keeps the plane spanned by
 the normalised good and bad states and rotates it by 2 theta, with
-sin^2 theta = t/2^n (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055). The
-reading-register distribution is therefore computed exactly on the m-qubit
-reading register tensored with that 2-D plane, so every confidence claim
-can be integrated rather than sampled. Every step before the inverse QFT is
-real (the Hadamard layer and the plane rotation), so the 2^(m+1) state is
-float64 and Q is a real matrix product. The inverse QFT is one orthonormal
-FFT down the reading register and the only step that returns complex
-amplitudes; no 4^m matrix is built and no state is kept between runs.
-`run_count` samples one outcome and charges its 2^m - 1 quantum queries
-under "counting" (each Q contains one oracle call; the controlled powers
-apply it 1 + 2 + ... + 2^{m-1} times).
+sin^2 theta = t/2^n (Brassard-Hoyer-Mosca-Tapp, quant-ph/0005055), so the
+reading-register distribution is computed exactly on the m-qubit reading
+register tensored with that 2-D plane, integrated rather than sampled.
+
+Two routines build the state the controlled powers leave, and the inverse
+QFT then finishes both the same way. `count_distribution`, the engine
+`run_count` samples, writes it in closed form: branch j has had Q applied j
+times, so its row is 2^(-m/2) (sin((2j+1) theta), cos((2j+1) theta)).
+`est_amp_distribution` is the step-by-step reference it is checked
+against: the Hadamard layer, then `apply_controlled_powers` pushing
+2^m (2^m - 1)/2 rows through the 2x2 `QOperator`. Every step before the
+inverse QFT is real, so the 2^(m+1) state is float64; the inverse QFT is
+one orthonormal FFT down the reading register and the only step that
+returns complex amplitudes. No 4^m matrix is built and no state is kept
+between runs. `run_count` samples one outcome and charges its 2^m - 1
+quantum queries under "counting" (each Q contains one oracle call; the
+controlled powers apply it 1 + 2 + ... + 2^{m-1} times).
 """
 
 from __future__ import annotations
@@ -72,15 +78,40 @@ def apply_qft(state: StateVector, width: int) -> StateVector:
     return state
 
 
-def est_amp_distribution(f: BooleanFunction,
-                         m: int) -> MeasurementDistribution:
-    """Exact distribution of the reading-register outcome y, with the target
-    prepared in the uniform superposition."""
+def _check_precision(m: int) -> None:
     if m < 1:
         raise UsageError("precision qubits m must be >= 1")
-    # the controlled powers push 2^m (2^m - 1)/2 rows through Q, so the work
-    # grows as 4^m; checking 2m qubits bounds it (and the 2^(m+1) amplitudes)
+    # the reference's controlled powers push 2^m (2^m - 1)/2 rows through
+    # Q, so its work grows as 4^m; 2m qubits bound that, and with it the
+    # closed form's 2^(m+1) amplitudes and the largest `count --grid`
     check_capacity(2 * m)
+
+
+def count_distribution(f: BooleanFunction,
+                       m: int) -> MeasurementDistribution:
+    """Exact distribution of the reading-register outcome y, with the target
+    prepared in the uniform superposition, from the closed-form state the
+    controlled powers leave: row j is 2^(-m/2) (sin((2j+1) theta),
+    cos((2j+1) theta)), sin^2 theta = t/2^n."""
+    _check_precision(m)
+    t = f.solution_count()
+    # atan2 keeps theta's relative error near one rounding for every t;
+    # asin(sqrt(t/2^n)) loses sqrt(2^n) of it as t nears 2^n, and the
+    # angles multiply the error by up to 2^(m+1)
+    theta = math.atan2(math.sqrt(t), math.sqrt((1 << f.arity) - t))
+    angles = (2 * np.arange(1 << m) + 1) * theta
+    rows = np.stack([np.sin(angles), np.cos(angles)], axis=1)
+    state = StateVector(rows.reshape(-1) / math.sqrt(1 << m))
+    apply_qft(state, m)
+    return measurement_distribution(state, range(0, m))
+
+
+def est_amp_distribution(f: BooleanFunction,
+                         m: int) -> MeasurementDistribution:
+    """The step-by-step reference for `count_distribution`: the same
+    distribution, from the start vector through the Hadamard layer and the
+    controlled powers of `QOperator`. No run samples it."""
+    _check_precision(m)
     q = QOperator(f)
     state = StateVector(np.zeros(2 << m))
     state.amps[:2] = q.start
@@ -99,7 +130,7 @@ def run_count(f: BooleanFunction, grid: int, seed: int,
     "counting". Output t' = 2^n sin^2(pi y / grid), rounded half-up."""
     if grid < 2 or grid & (grid - 1):
         raise UsageError(f"grid {grid} is not a power of two >= 2")
-    y = sample(est_amp_distribution(f, grid.bit_length() - 1), seed)
+    y = sample(count_distribution(f, grid.bit_length() - 1), seed)
     ledger.add_quantum(grid - 1, "counting")
     a_tilde = math.sin(math.pi * y / grid) ** 2
     t_prime = (1 << f.arity) * a_tilde

@@ -25,6 +25,11 @@ float64, and the first index whose exact cumulative probability exceeds u,
 the rule `statevector.sample` applies to rounded running sums. A level
 below 1e-40 is read as 0, an exact rotation by a multiple of π/2, where
 float64 leaves a residue near 1e-33. Both engines are checked against it.
+`exact_count_distribution` gives the reading-register distribution of
+counting at 50 digits from the definition: the plane start rotated j times
+on branch j, then each column's inverse QFT as a direct sum. Both counting
+engines, the closed form and the controlled powers, are checked against
+it.
 
 `reference_truth_values` evaluates a CNF formula one assignment and one
 literal at a time, the check on `CnfFormula.truth_values`'s mask tests.
@@ -198,6 +203,36 @@ def est_amp_distribution(f: BooleanFunction,
     apply_controlled_powers(state, m, DenseQOperator(f).apply_batch)
     apply_qft(state, control, inverse=True)
     return measurement_distribution(state, control)
+
+
+def exact_count_distribution(n: int, t: int, m: int) -> list:
+    """The reading-register distribution of counting on n qubits with t
+    marked and an m-qubit register, as 50-digit mpmath numbers, from the
+    definition: the start (sqrt(t/2^n), sqrt((2^n - t)/2^n)) rotated j
+    times by the plane iterate Q on branch j, then the inverse QFT of each
+    column as a direct sum over e^(-2 pi i jy/M), M = 2^m."""
+    with mpmath.workdps(_DIGITS):
+        size, grid = mpmath.mpf(1 << n), 1 << m
+        good, bad = mpmath.sqrt(t / size), mpmath.sqrt((size - t) / size)
+        c = (size - 2 * t) / size
+        s = 2 * mpmath.sqrt(t * (size - t)) / size
+        rows = []
+        for _ in range(grid):
+            rows.append((good, bad))
+            good, bad = c * good + s * bad, c * bad - s * good
+        turns = [2 * mpmath.pi * k / grid for k in range(grid)]
+        cos = [mpmath.cos(a) for a in turns]
+        sin = [mpmath.sin(a) for a in turns]
+        probs = []
+        for y in range(grid):
+            phase = [(j * y) % grid for j in range(grid)]
+            mass = 0
+            for col in (0, 1):
+                x = [row[col] for row in rows]
+                mass += (mpmath.fdot(x, [cos[k] for k in phase]) ** 2
+                         + mpmath.fdot(x, [sin[k] for k in phase]) ** 2)
+            probs.append(mass / grid ** 2)
+        return probs
 
 
 def reference_truth_value(formula: CnfFormula, y: int) -> int:

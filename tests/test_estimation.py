@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,8 +7,9 @@ import pytest
 
 from distgrover import (QOperator, QueryLedger, UsageError,
                         apply_grover_iterate, apply_hadamard_all,
-                        counting_grid_for, est_amp_distribution, estimation,
-                        init_basis, relaxed_error_bound, run_count)
+                        count_distribution, counting_grid_for,
+                        est_amp_distribution, estimation, init_basis,
+                        relaxed_error_bound, run_count, sample)
 from distgrover.statevector import StateVector
 
 from conftest import (closed_form_count_distribution, first_k_marked,
@@ -123,26 +125,81 @@ def test_plane_distribution_matches_dense_reference():
         assert np.abs(plane - dense).max() <= 1e-12, (n, m, t)
 
 
-def test_certainty_edges():
-    for n in (2, 4):
-        for m in (1, 3, 5):
-            dist = est_amp_distribution(marked_function(n, []), m)
-            expected = np.zeros(1 << m)
-            expected[0] = 1.0
-            assert np.abs(dist.probabilities - expected).max() < 1e-9
+def test_closed_form_matches_controlled_powers():
+    # the kernel run_count samples against the step-by-step reference on
+    # every n <= 10 and m <= 6; the kernel reads only t, so t marked inputs
+    # anywhere give the same distribution
+    rng = np.random.default_rng(32)
+    for n in range(1, 11):
+        big_n = 1 << n
+        for m in range(1, 7):
+            for t in (0, 1, big_n - 1, big_n,
+                      int(rng.integers(0, big_n + 1))):
+                f = first_k_marked(n, t)
+                closed = count_distribution(f, m)
+                stepped = est_amp_distribution(f, m)
+                assert np.abs(closed.probabilities
+                              - stepped.probabilities).max() <= 1e-12
+                for seed in rng.integers(0, 1 << 62, size=8):
+                    assert sample(closed, int(seed)) == \
+                        sample(stepped, int(seed)), (n, m, t, seed)
 
-            dist = est_amp_distribution(marked_function(n, range(2**n)), m)
-            expected = np.zeros(1 << m)
-            expected[(1 << m) // 2] = 1.0
-            assert np.abs(dist.probabilities - expected).max() < 1e-9
+
+def test_both_counting_engines_match_50_digits():
+    # 32 units in the last place of 1 bounds both float64 engines; over
+    # n = 1..10 and m = 1..6 the closed form read 8.6 of them and the
+    # controlled powers 5.9, and a theta from asin(sqrt(t/2^n)) read 100
+    # at n = 10, t = 2^n - 1, m = 6
+    bound = 32 * 2.0 ** -52
+    for n in (1, 3, 6, 10):
+        big_n = 1 << n
+        for t in sorted({0, 1, big_n // 4, big_n // 3, big_n // 2,
+                         big_n - 1, big_n}):
+            f = first_k_marked(n, t)
+            for m in (1, 3, 6):
+                exact = reference.exact_count_distribution(n, t, m)
+                for engine in (count_distribution, est_amp_distribution):
+                    p = engine(f, m).probabilities
+                    assert max(abs(float(e - x)) for e, x
+                               in zip(exact, p)) <= bound, \
+                        (engine.__name__, n, t, m)
+
+
+def test_run_count_runs_no_controlled_powers(monkeypatch):
+    f = first_k_marked(8, 37)
+    expected = run_count(f, 16, 5, QueryLedger())
+
+    def refuse(*args):
+        raise AssertionError("run_count ran the controlled powers")
+
+    monkeypatch.setattr(estimation, "apply_controlled_powers", refuse)
+    monkeypatch.setattr(QOperator, "apply_batch", refuse)
+    ledger = QueryLedger()
+    assert run_count(f, 16, 5, ledger) == expected
+    assert ledger.quantum_queries == 15
+
+
+def test_certainty_edges():
+    for engine, n, m in itertools.product(
+            (count_distribution, est_amp_distribution), (2, 4), (1, 3, 5)):
+        dist = engine(marked_function(n, []), m)
+        expected = np.zeros(1 << m)
+        expected[0] = 1.0
+        assert np.abs(dist.probabilities - expected).max() < 1e-9
+
+        dist = engine(marked_function(n, range(2**n)), m)
+        expected = np.zeros(1 << m)
+        expected[(1 << m) // 2] = 1.0
+        assert np.abs(dist.probabilities - expected).max() < 1e-9
 
 
 def test_distribution_matches_closed_form():
     for (n, t, m) in [(2, 1, 3), (4, 4, 3), (3, 5, 4), (5, 1, 3), (6, 32, 2)]:
         f = first_k_marked(n, t)
-        sim = est_amp_distribution(f, m).probabilities
         oracle = closed_form_count_distribution(t / (1 << n), m)
-        assert np.abs(sim - oracle).max() < 1e-12
+        for engine in (count_distribution, est_amp_distribution):
+            sim = engine(f, m).probabilities
+            assert np.abs(sim - oracle).max() < 1e-12
 
 
 def test_real_start_matches_a_complex_start(monkeypatch):
@@ -167,15 +224,16 @@ def test_real_start_matches_a_complex_start(monkeypatch):
 
 def test_m12_distribution_matches_closed_form_in_little_memory():
     # the inverse QFT is one FFT: no 4^m matrix (640 MiB at m = 12) is built
-    tracemalloc.start()
-    try:
-        p = est_amp_distribution(marked_function(4, [3]), 12).probabilities
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.abs(p - closed_form_count_distribution(1 / 16, 12)).max() \
-        <= 1e-12
-    assert peak < 4 << 20
+    for engine in (count_distribution, est_amp_distribution):
+        tracemalloc.start()
+        try:
+            p = engine(marked_function(4, [3]), 12).probabilities
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(p - closed_form_count_distribution(1 / 16, 12)).max() \
+            <= 1e-12
+        assert peak < 4 << 20
 
 
 def test_distribution_mirror_symmetry():
@@ -247,8 +305,10 @@ def test_counting_grid_for():
 
 
 def test_estimation_needs_a_reading_qubit():
-    with pytest.raises(UsageError, match="precision qubits m must be >= 1"):
-        est_amp_distribution(first_k_marked(3, 1), 0)
+    for engine in (count_distribution, est_amp_distribution):
+        with pytest.raises(UsageError,
+                           match="precision qubits m must be >= 1"):
+            engine(first_k_marked(3, 1), 0)
 
 
 def test_confidence_small_sweep():
