@@ -47,7 +47,7 @@ class MachineRecord:
     index: int
     f: BooleanFunction
     estimate: int | None = None
-    plan: range | tuple[int, ...] = ()
+    plan: range = range(0)
     attempts: list[tuple[int, int, int]] = field(default_factory=list)
     ledger: QueryLedger = field(default_factory=QueryLedger)
 
@@ -191,7 +191,7 @@ def run_parallel(f: BooleanFunction, k: int, a: int, seed: int) -> DistOutcome:
     solution wins, lowest machine index breaking ties within a step. With a
     known unique solution (a = 1) the counting stage is skipped: every
     machine's estimate stays None and its plan is the one count b = 1."""
-    machines = [MachineRecord(i, f_i, plan=(1,)) if a == 1
+    machines = [MachineRecord(i, f_i, plan=range(1, 2)) if a == 1
                 else _plan(f_i, a, seed, i)
                 for i, f_i in enumerate(_split(f, k, a))]
     return _sweep(k, machines, seed, machines)

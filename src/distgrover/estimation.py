@@ -13,7 +13,9 @@ register tensored with that 2-D plane, integrated rather than sampled.
 Two routines build the state the controlled powers leave, and the inverse
 QFT then finishes both the same way. `count_distribution`, the engine
 `run_count` samples, writes it in closed form: branch j has had Q applied j
-times, so its row is 2^(-m/2) (sin((2j+1) theta), cos((2j+1) theta)).
+times, so its row is 2^(-m/2) (sin((2j+1) theta), cos((2j+1) theta)),
+and it takes those angles from `grover.rotation`, the one routine that
+computes the plane's angle, as a Grover shot's levels do.
 `est_amp_distribution` is the step-by-step reference it is checked
 against: the Hadamard layer, then `apply_controlled_powers` pushing
 2^m (2^m - 1)/2 rows through the 2x2 `QOperator`. Every step before the
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+from .grover import rotation
 from .ledger import QueryLedger
 from .oracle import BooleanFunction
 from .statevector import (MeasurementDistribution, StateVector,
@@ -92,14 +95,10 @@ def count_distribution(f: BooleanFunction,
     """Exact distribution of the reading-register outcome y, with the target
     prepared in the uniform superposition, from the closed-form state the
     controlled powers leave: row j is 2^(-m/2) (sin((2j+1) theta),
-    cos((2j+1) theta)), sin^2 theta = t/2^n."""
+    cos((2j+1) theta)), sin^2 theta = t/2^n, its angles from
+    `grover.rotation`."""
     _check_precision(m)
-    t = f.solution_count()
-    # atan2 keeps theta's relative error near one rounding for every t;
-    # asin(sqrt(t/2^n)) loses sqrt(2^n) of it as t nears 2^n, and the
-    # angles multiply the error by up to 2^(m+1)
-    theta = math.atan2(math.sqrt(t), math.sqrt((1 << f.arity) - t))
-    angles = (2 * np.arange(1 << m) + 1) * theta
+    angles = rotation(f.arity, f.solution_count(), np.arange(1 << m))
     rows = np.stack([np.sin(angles), np.cos(angles)], axis=1)
     state = StateVector(rows.reshape(-1) / math.sqrt(1 << m))
     apply_qft(state, m)

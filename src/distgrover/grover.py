@@ -56,16 +56,23 @@ def grover_iterations(n: int, a: int) -> int:
     return int(math.floor(math.pi / 4.0 * math.sqrt((1 << n) / a)))
 
 
-def _rotation(n: int, count: int, iterations: int) -> float:
-    """(2k+1) * arcsin(sqrt(count/2^n)) for k = `iterations`: the angle from
-    the bad axis after k iterates when `count` of the 2^n indices are
-    good."""
-    return (2 * iterations + 1) * math.asin(math.sqrt(count / (1 << n)))
+def rotation(n: int, count: int,
+             iterations: int | np.ndarray) -> float | np.ndarray:
+    """(2k+1) * theta for k = `iterations` (an int or an integer array):
+    the angle from the bad axis after k iterates when `count` of the 2^n
+    indices are good, sin^2 theta = count/2^n. The one place the plane's
+    angle is computed. theta is atan2(sqrt(count), sqrt(2^n - count)),
+    whose relative error stays near one rounding for every count;
+    asin(sqrt(count/2^n)) loses sqrt(2^n) of it as count nears 2^n, and
+    the factor 2k+1 multiplies the error."""
+    theta = math.atan2(math.sqrt(count), math.sqrt((1 << n) - count))
+    return (2 * iterations + 1) * theta
 
 
 def success_probability(n: int, a: int) -> float:
-    """sin^2((2k+1) * arcsin(sqrt(a/2^n))) with k = grover_iterations(n, a)."""
-    return math.sin(_rotation(n, a, grover_iterations(n, a))) ** 2
+    """sin^2((2k+1) theta) with k = grover_iterations(n, a), the angle
+    from `rotation`."""
+    return math.sin(rotation(n, a, grover_iterations(n, a))) ** 2
 
 
 def apply_grover_iterate(f: BooleanFunction,
@@ -119,11 +126,10 @@ class Plane:
         (2k+1)θ is a multiple of π/2 for a 0 < t < 2^n only when t/2^n is
         1/4 or 3/4 and 3 divides 2k+1; there one level is exactly 0, where
         sin and cos would leave a residue."""
-        n, t = self.f.arity, self.f.solution_count()
-        size = 1 << n
+        t, size = self.f.solution_count(), 1 << self.f.arity
         if 4 * t in (size, 3 * size) and (2 * iterations + 1) % 3 == 0:
             return (1.0 / t, 0.0) if 4 * t == size else (0.0, 1.0 / (size - t))
-        angle = _rotation(n, t, iterations)
+        angle = rotation(self.f.arity, t, iterations)
         return (math.sin(angle) ** 2 / max(t, 1),
                 math.cos(angle) ** 2 / max(size - t, 1))
 

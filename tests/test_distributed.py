@@ -179,7 +179,7 @@ def test_parallel_fast_path_query_counts():
     per_machine = grover_iterations(n - k, 1)
     for m in out.machines:
         assert m.estimate is None               # counting skipped
-        assert m.plan == (1,)
+        assert m.plan == range(1, 2)
         assert m.ledger.quantum_queries == per_machine
         assert m.ledger.classical_queries == 1
 

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import distgrover
-from distgrover import (Evolution, Plane, QueryLedger, StateVector,
-                        UsageError, apply_grover_iterate, apply_hadamard_all,
-                        grover, grover_iterations, init_basis,
-                        measurement_distribution, run_grover, sample,
-                        statevector, success_probability)
+from distgrover import (BooleanFunction, Evolution, Plane, QueryLedger,
+                        StateVector, UsageError, apply_grover_iterate,
+                        apply_hadamard_all, grover, grover_iterations,
+                        init_basis, measurement_distribution, run_grover,
+                        sample, statevector, success_probability)
 
 from conftest import first_k_marked, marked_function
 from reference import exact_draw, exact_levels, reference_hadamard_all
@@ -234,6 +234,35 @@ def test_draws_match_the_exact_draw_away_from_cdf_edges(monkeypatch):
                         draws += 1
                         edge_draws += gap <= band
     assert draws == 1680 and edge_draws
+
+
+def test_plane_levels_and_success_probability_match_50_digits():
+    # 301 cases: n in {2, 4, 8, 12, 16, 20}; t in {1, 2, 3, N/3, N/2, N - 3,
+    # N - 2, N - 1}; k in {0, 1, 7, 64, 256, 1024, 4096}. The angle
+    # (2k+1)θ carries θ's rounding 2k+1 times, so each level times its
+    # index count, and the success probability at k = grover_iterations,
+    # must lie within 2·(2k+1)·2^-52 of the 50-digit value. With θ from
+    # asin(sqrt(t/2^n)) the worst case read 8.2 of those units, at n = 12,
+    # t = 4095, k = 4096; from atan2 it reads 1.0.
+    cases = 0
+    for n in (2, 4, 8, 12, 16, 20):
+        size = 1 << n
+        for t in sorted({1, 2, 3, size // 3, size // 2, size - 3, size - 2,
+                         size - 1}):
+            plane = Plane(BooleanFunction(n, np.arange(t)))
+            for k in (0, 1, 7, 64, 256, 1024, 4096):
+                bound = 2 * (2 * k + 1) * 2.0 ** -52
+                for level, exact, count in zip(plane.levels(k),
+                                               exact_levels(n, t, k),
+                                               (t, size - t)):
+                    assert abs(float(exact - level)) * count <= bound, \
+                        (n, t, k, count)
+                cases += 1
+            k = grover_iterations(n, t)
+            exact = exact_levels(n, t, k)[0] * t
+            assert abs(float(exact - success_probability(n, t))) <= \
+                2 * (2 * k + 1) * 2.0 ** -52, (n, t, k)
+    assert cases == 301
 
 
 def _complex_copy(state):

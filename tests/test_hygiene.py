@@ -2,7 +2,7 @@
 module-level private name in src/distgrover/ is referenced, every public
 function and method in src/distgrover/ is used outside the tests, every
 parameter of a function in src/distgrover/ is read, no function in
-src/distgrover/ stores into a module-level container, each of four
+src/distgrover/ stores into a module-level container, each of five
 concerns lives in the modules that own it, no module in
 src/distgrover/ names a complex dtype, none uses `assert`, every
 `raise` there names a `DistGroverError` subclass, and every fact a class
@@ -34,7 +34,11 @@ reads the environment (`os.environ` or `os.getenv`) and constructs
 `estimation.py` call `.add_quantum`, so each quantum query is charged once,
 by the run that spends it; only `statevector.py` constructs a
 `MeasurementDistribution`, whose entries go unchecked for sign because its
-`measurement_distribution` builds them as squares. Real amplitudes: no
+`measurement_distribution` builds them as squares; only `grover.py` calls
+an inverse trigonometric function (`asin`, `acos`, `atan`, `atan2` or
+numpy's `arcsin`, `arccos`, `arctan`, `arctan2`), in `grover.rotation`, so
+the plane's angle θ is computed once and every closed form reads it from
+there. Real amplitudes: no
 module in src/distgrover/ names a complex dtype (`complex`,
 `np.complex128`, `np.cdouble`, a dtype string such as "c16"), writes an
 imaginary literal, tests for one (`isrealobj`, `iscomplexobj`) or reads
@@ -358,7 +362,10 @@ def test_scan_flags_a_store_into_module_state():
 OWNERS = {"os.environ": {"statevector.py"},
           "CapacityError()": {"statevector.py"},
           ".add_quantum()": {"grover.py", "estimation.py"},
-          "MeasurementDistribution()": {"statevector.py"}}
+          "MeasurementDistribution()": {"statevector.py"},
+          "inverse trig": {"grover.py"}}
+INVERSE_TRIG = {"asin", "acos", "atan", "atan2",
+                "arcsin", "arccos", "arctan", "arctan2"}
 
 
 def _owned_uses(tree: ast.Module):
@@ -377,6 +384,8 @@ def _owned_uses(tree: ast.Module):
                 yield node.lineno, f"{name}()"
             elif name == "add_quantum" and isinstance(func, ast.Attribute):
                 yield node.lineno, ".add_quantum()"
+            elif name in INVERSE_TRIG:
+                yield node.lineno, "inverse trig"
 
 
 def _ownership_violations(modules: dict) -> list[str]:
@@ -393,6 +402,9 @@ def test_each_concern_stays_with_its_owner():
     problems = _ownership_violations(modules)
     assert not problems, "used outside its owning module:\n" + \
         "\n".join(problems)
+    # the plane's angle has one routine: one inverse-trig call in src
+    assert [concern for tree in modules.values()
+            for _, concern in _owned_uses(tree)].count("inverse trig") == 1
 
 
 def test_scan_flags_a_concern_outside_its_owner():
@@ -403,7 +415,13 @@ def test_scan_flags_a_concern_outside_its_owner():
             "d = MeasurementDistribution(p)\n"),
         "grover.py": ast.parse("ledger.add_quantum(3, 'oracle')\n"
                                "d = statevector.MeasurementDistribution(p)\n"
-                               "x: MeasurementDistribution = d\n"),
+                               "x: MeasurementDistribution = d\n"
+                               "theta = math.atan2(1.0, 2.0)\n"),
+        "estimation.py": ast.parse(
+            "from math import asin\n"
+            "theta = math.atan2(s, c) + asin(x)\n"
+            "phi = np.arccos(y)\n"
+            "sin = math.sin(theta)\n"),
         "oracle.py": ast.parse(
             "from os import getenv\nimport os\n"
             "def f(ledger):\n"
@@ -414,6 +432,7 @@ def test_scan_flags_a_concern_outside_its_owner():
     }
     assert _ownership_violations(modules) == [
         "grover.py:2: MeasurementDistribution()",
+        "estimation.py:2: inverse trig", "estimation.py:3: inverse trig",
         "oracle.py:1: os.environ", "oracle.py:4: .add_quantum()",
         "oracle.py:6: CapacityError()", "oracle.py:6: os.environ"]
 
